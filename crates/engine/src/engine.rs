@@ -176,7 +176,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects how SOP covers are minimised.
+    /// Sets the default minimise mode: how SOP covers are produced for
+    /// jobs that do not pick a mode with [`Job::with_minimize`].
     pub fn minimize(mut self, mode: MinimizeMode) -> Self {
         self.minimize = mode;
         self
@@ -237,9 +238,10 @@ impl EngineBuilder {
     }
 
     /// Attaches an existing cache, shared with other engines. Safe between
-    /// engines that differ only in minimise mode or default strategy (both
-    /// are part of the [`CacheKey`]); engines with different limits or
-    /// shadowed backends under the same names must not share one.
+    /// engines that differ only in default minimise mode or default
+    /// strategy (both resolve into the [`CacheKey`]); engines with
+    /// different limits or shadowed backends under the same names must
+    /// not share one.
     pub fn shared_cache(mut self, cache: Arc<ResultCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -294,6 +296,7 @@ impl EngineBuilder {
 pub struct Engine {
     registry: BackendRegistry,
     default_strategy: String,
+    /// Minimise mode for jobs without a [`Job::with_minimize`] choice.
     minimize: MinimizeMode,
     limits: Limits,
     fault_model: FaultModel,
@@ -348,10 +351,27 @@ impl Engine {
     /// produce. Panics from custom backends are *not* captured here — use
     /// [`Engine::run_batch`] for isolation.
     pub fn run(&self, job: &Job) -> Result<JobResult, Error> {
+        self.run_with(job, true)
+    }
+
+    /// [`Engine::run`] without the [`CacheFillHook`]: a cache miss
+    /// synthesises locally, so this call can never reach whatever the
+    /// hook reaches. A replica answering a peer's fill request serves it
+    /// this way, which keeps fills from chaining peer to peer even when
+    /// replicas disagree about who owns a key.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::run`].
+    pub fn run_local(&self, job: &Job) -> Result<JobResult, Error> {
+        self.run_with(job, false)
+    }
+
+    fn run_with(&self, job: &Job, fill: bool) -> Result<JobResult, Error> {
         let started = Instant::now();
         let limits = self.effective_limits(job);
         let deadline = limits.time.map(|t| started + t);
-        let synthesized = self.realize(job, limits, deadline)?;
+        let synthesized = self.realize(job, limits, deadline, fill)?;
         self.finish(job, limits, synthesized, started, deadline)
     }
 
@@ -364,167 +384,129 @@ impl Engine {
         }
     }
 
+    /// The minimise mode governing one job: its [`Job::with_minimize`]
+    /// choice, else the engine default. Every key and cover the job
+    /// touches is built in this mode.
+    fn minimize_of(&self, job: &Job) -> MinimizeMode {
+        job.minimize.unwrap_or(self.minimize)
+    }
+
     /// The chip-independent half of a job. For synthesis jobs: resolves
-    /// the backend and produces the realization — from the cache when
-    /// possible, synthesising (and populating the cache) otherwise — plus
-    /// the SOP cover the backend built along the way (its context memo),
-    /// so chip jobs do not repeat a full minimisation in
-    /// [`Engine::finish`]. For [`Job::mvm`] jobs: validates the spec and
-    /// programs the differential conductance targets, memoised per exact
-    /// weight bits.
+    /// the backend and produces the realization through
+    /// [`Engine::cached`], plus the SOP cover the backend built along the
+    /// way (its context memo), so chip jobs do not repeat a full
+    /// minimisation in [`Engine::finish`]. Multi-output jobs
+    /// ([`Job::synthesize_multi`]) compile all outputs onto one
+    /// shared-ROBDD sneak-path crossbar, keyed on the whole output set;
+    /// they produce no SOP cover and reject chip flows and BISM mapping,
+    /// both single-output concerns. For [`Job::mvm`] jobs: validates the
+    /// spec and programs the differential conductance targets, memoised
+    /// per exact weight bits. `fill` says whether a cache miss may consult
+    /// the [`CacheFillHook`].
     fn realize(
         &self,
         job: &Job,
         limits: Limits,
         deadline: Option<Instant>,
+        fill: bool,
     ) -> Result<Synthesized, Error> {
+        let mode = self.minimize_of(job);
         if let Some(spec) = &job.mvm {
-            return self.program_mvm(spec);
-        }
-        if job.multi.is_some() {
-            return self.compile_multi(job);
+            return self.program_mvm(spec, mode);
         }
         let strategy_name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
-        let backend = self
-            .registry
-            .get(strategy_name)
-            .ok_or_else(|| Error::UnknownStrategy {
-                name: strategy_name.to_string(),
-            })?;
-        let strategy = backend.name().to_string();
-
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| CacheKey::new(&job.function, &strategy, self.minimize));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.get(key) {
-                return Ok(Synthesized::Logic {
-                    strategy,
-                    realization: hit.realization,
-                    cover: hit.cover,
-                });
-            }
-            // Miss: give the fill hook (a peer replica, another tier) one
-            // shot before synthesising locally. A fill is admitted to the
-            // cache exactly like a fresh synthesis, so insert listeners
-            // (durable-state persistence) see it too.
-            if let Some(hook) = &self.fill_hook {
-                if let Some(filled) = hook.fill(key) {
-                    cache.insert(key.clone(), filled.clone());
-                    return Ok(Synthesized::Logic {
-                        strategy,
-                        realization: filled.realization,
-                        cover: filled.cover,
+        Ok(match &job.multi {
+            Some(outputs) => {
+                if strategy_name != Strategy::Bdd.name() {
+                    return Err(Error::MultiSpec {
+                        message: format!(
+                            "strategy {strategy_name:?} cannot realise multi-output jobs (use \"bdd\")"
+                        ),
                     });
                 }
+                if job.chip.is_some() || job.map_chip.is_some() {
+                    return Err(Error::MultiSpec {
+                        message: "multi-output jobs cannot target a chip (the defect flow and \
+                                  BISM mapping are single-output)"
+                            .into(),
+                    });
+                }
+                let key = || multi_synthesis_key(outputs, strategy_name, mode);
+                let synthesis = self.cached(key, fill, || {
+                    let num_vars = outputs.first().map_or(0, |t| t.num_vars());
+                    let xbar = nanoxbar_bddsynth::compile_multi(outputs)
+                        .map_err(|e| crate::backend::bdd_error(e, num_vars))?;
+                    Ok(CachedSynthesis {
+                        realization: Arc::new(Realization::Bdd(xbar)),
+                        cover: None,
+                    })
+                })?;
+                Synthesized::Logic(strategy_name.to_string(), synthesis)
             }
-        }
-
-        let ctx = SynthesisContext {
-            minimize: self.minimize,
-            sat_budget: limits.sat_conflicts,
-            deadline,
-            ..SynthesisContext::default()
-        };
-        // The context's deadline only ever comes from `limits.time`, so a
-        // backend giving up on it IS the job's time limit — report it as
-        // such, not as a strategy-specific synthesis failure.
-        let realization = Arc::new(
-            backend
-                .synthesize(&job.function, &ctx)
-                .map_err(|e| classify_deadline(e, limits))?,
-        );
-        let cover =
-            ctx.cover_memo.borrow().as_ref().and_then(|(table, cover)| {
-                (table == &job.function).then(|| Arc::new(cover.clone()))
-            });
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.insert(
-                key,
-                CachedSynthesis {
-                    realization: realization.clone(),
-                    cover: cover.clone(),
-                },
-            );
-        }
-        Ok(Synthesized::Logic {
-            strategy,
-            realization,
-            cover,
+            None => {
+                let backend =
+                    self.registry
+                        .get(strategy_name)
+                        .ok_or_else(|| Error::UnknownStrategy {
+                            name: strategy_name.to_string(),
+                        })?;
+                let key = || CacheKey::new(&job.function, backend.name(), mode);
+                let synthesis = self.cached(key, fill, || {
+                    let ctx = SynthesisContext {
+                        minimize: mode,
+                        sat_budget: limits.sat_conflicts,
+                        deadline,
+                        ..SynthesisContext::default()
+                    };
+                    // The context's deadline only ever comes from
+                    // `limits.time`, so a backend giving up on it IS the
+                    // job's time limit — report it as such, not as a
+                    // strategy-specific synthesis failure.
+                    let realization = backend
+                        .synthesize(&job.function, &ctx)
+                        .map_err(|e| classify_deadline(e, limits))?;
+                    let cover = ctx.cover_memo.borrow().as_ref().and_then(|(table, cover)| {
+                        (table == &job.function).then(|| Arc::new(cover.clone()))
+                    });
+                    Ok(CachedSynthesis {
+                        realization: Arc::new(realization),
+                        cover,
+                    })
+                })?;
+                Synthesized::Logic(backend.name().to_string(), synthesis)
+            }
         })
     }
 
-    /// The chip-independent half of a multi-output job
-    /// ([`Job::synthesize_multi`]): all outputs compile onto one
-    /// shared-ROBDD sneak-path crossbar. Participates in the result cache
-    /// and the fill hook exactly like single-output synthesis — the key
-    /// covers the whole output set — so repeated multi jobs share one
-    /// [`Realization`]. No SOP cover is produced (the compiler is
-    /// BDD-based), and chip flows / BISM mapping are rejected: both are
-    /// single-output concerns.
-    fn compile_multi(&self, job: &Job) -> Result<Synthesized, Error> {
-        let outputs = job
-            .multi
-            .as_ref()
-            .expect("compile_multi requires a multi job");
-        let strategy_name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
-        if strategy_name != Strategy::Bdd.name() {
-            return Err(Error::MultiSpec {
-                message: format!(
-                    "strategy {strategy_name:?} cannot realise multi-output jobs (use \"bdd\")"
-                ),
-            });
+    /// The one result-cache step every synthesis goes through: cache
+    /// get, then (when `fill` allows) the [`CacheFillHook`], then
+    /// `synthesize`, admitting whatever the last two produce. A fill is
+    /// admitted exactly like a fresh synthesis, so insert listeners
+    /// (durable-state persistence) see it too. Without a cache this is
+    /// just `synthesize`, and `key` is never built.
+    fn cached(
+        &self,
+        key: impl FnOnce() -> CacheKey,
+        fill: bool,
+        synthesize: impl FnOnce() -> Result<CachedSynthesis, Error>,
+    ) -> Result<CachedSynthesis, Error> {
+        let Some(cache) = &self.cache else {
+            return synthesize();
+        };
+        let key = key();
+        if let Some(hit) = cache.get(&key) {
+            return Ok(hit);
         }
-        if job.chip.is_some() || job.map_chip.is_some() {
-            return Err(Error::MultiSpec {
-                message: "multi-output jobs cannot target a chip (the defect flow and \
-                          BISM mapping are single-output)"
-                    .into(),
-            });
-        }
-        let strategy = strategy_name.to_string();
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| multi_synthesis_key(outputs, strategy_name, self.minimize));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.get(key) {
-                return Ok(Synthesized::Logic {
-                    strategy,
-                    realization: hit.realization,
-                    cover: hit.cover,
-                });
-            }
-            if let Some(hook) = &self.fill_hook {
-                if let Some(filled) = hook.fill(key) {
-                    cache.insert(key.clone(), filled.clone());
-                    return Ok(Synthesized::Logic {
-                        strategy,
-                        realization: filled.realization,
-                        cover: filled.cover,
-                    });
-                }
-            }
-        }
-        let num_vars = outputs.first().map_or(0, |t| t.num_vars());
-        let xbar = nanoxbar_bddsynth::compile_multi(outputs)
-            .map_err(|e| crate::backend::bdd_error(e, num_vars))?;
-        let realization = Arc::new(Realization::Bdd(xbar));
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.insert(
-                key,
-                CachedSynthesis {
-                    realization: realization.clone(),
-                    cover: None,
-                },
-            );
-        }
-        Ok(Synthesized::Logic {
-            strategy,
-            realization,
-            cover: None,
-        })
+        let filled = match &self.fill_hook {
+            Some(hook) if fill => hook.fill(&key),
+            _ => None,
+        };
+        let value = match filled {
+            Some(value) => value,
+            None => synthesize()?,
+        };
+        cache.insert(key, value.clone());
+        Ok(value)
     }
 
     /// The chip-independent half of an mvm job: spec validation and the
@@ -533,14 +515,14 @@ impl Engine {
     /// programmed before. Pure and deterministic, so memoised results are
     /// bit-identical to fresh ones — the mvm counterpart of result-cache
     /// participation.
-    fn program_mvm(&self, spec: &MvmSpec) -> Result<Synthesized, Error> {
+    fn program_mvm(&self, spec: &MvmSpec, mode: MinimizeMode) -> Result<Synthesized, Error> {
         // Only the chip-independent subset here: batch dedupe groups on
         // exactly these fields, so every slot of a group agrees on this
         // check's outcome. The full per-slot validation (input, chip
         // probabilities, trials) runs in `finish_mvm` via `execute`.
         spec.validate_program()
             .map_err(|message| Error::MvmSpec { message })?;
-        let key = mvm_program_key(spec, self.minimize);
+        let key = mvm_program_key(spec, mode);
         let memo = self.program_memo.lock().expect("program memo poisoned");
         if let Some(hit) = memo.get(&key) {
             return Ok(Synthesized::Mvm { program: hit });
@@ -572,73 +554,34 @@ impl Engine {
         started: Instant,
         deadline: Option<Instant>,
     ) -> Result<JobResult, Error> {
-        let (strategy, realization, cover) = match synthesized {
+        let (strategy, CachedSynthesis { realization, cover }) = match synthesized {
             Synthesized::Mvm { program } => {
                 return self.finish_mvm(job, &program, started, deadline, limits);
             }
-            Synthesized::Logic {
-                strategy,
-                realization,
-                cover,
-            } => (strategy, realization, cover),
+            Synthesized::Logic(strategy, synthesis) => (strategy, synthesis),
         };
-        if let Some(limit) = limits.max_area {
-            let area = realization.area();
-            if area > limit {
-                return Err(Error::AreaLimit { area, limit });
-            }
-        }
-
-        let verified = if job.verify {
-            // Multi jobs verify *every* output against its target; the
-            // realisation-level check covers output count and arity too.
-            let ok = match &job.multi {
-                Some(outputs) => realization.computes_outputs(outputs),
-                None => realization.computes(&job.function),
-            };
-            if !ok {
-                return Err(Error::Verification { strategy });
-            }
-            Some(true)
-        } else {
-            None
-        };
-
+        let verified = self.check_realization(job, limits, &strategy, &realization)?;
         check_deadline(deadline, limits)?;
 
         // The placement cover, built at most once and shared by the flow
         // and the mapper (`None` when neither fault-tolerance path runs).
-        let cover = (job.chip.is_some() || job.map_chip.is_some()).then(|| {
-            cover.unwrap_or_else(|| {
-                // A cover-free backend (the SAT search) or a legacy cache
-                // entry: build the placement cover now, in the engine's
-                // mode.
-                let ctx = SynthesisContext {
-                    minimize: self.minimize,
-                    ..SynthesisContext::default()
-                };
-                Arc::new(ctx.cover(&job.function))
-            })
-        });
+        let cover = (job.chip.is_some() || job.map_chip.is_some())
+            .then(|| self.placement_cover(job, cover));
 
-        let flow = match &job.chip {
-            None => None,
-            Some(spec) => {
-                let chip = self.resolve_chip(spec);
-                let cover = cover.as_ref().expect("cover built for chip jobs");
-                let report = defect_unaware_flow_with_cover(cover, &chip)?;
+        let flow = match (&job.chip, &cover) {
+            (Some(spec), Some(cover)) => {
+                let report = defect_unaware_flow_with_cover(cover, &self.resolve_chip(spec))?;
                 check_deadline(deadline, limits)?;
                 Some(report)
             }
+            _ => None,
         };
-
-        let map = match &job.map_chip {
-            None => None,
-            Some(spec) => {
+        let map = match (&job.map_chip, &cover) {
+            (Some(spec), Some(cover)) => {
                 let chip = self.resolve_chip(spec);
-                let cover = cover.as_ref().expect("cover built for map jobs");
                 Some(self.run_mapper(job, cover, chip, deadline, limits)?)
             }
+            _ => None,
         };
 
         Ok(JobResult {
@@ -688,6 +631,51 @@ impl Engine {
         }
     }
 
+    /// The per-job checks on a realization before anything is placed:
+    /// the area limit, then (when requested) exhaustive verification —
+    /// of *every* output for multi jobs, whose realisation-level check
+    /// covers output count and arity too. Returns the `verified` field.
+    fn check_realization(
+        &self,
+        job: &Job,
+        limits: Limits,
+        strategy: &str,
+        realization: &Realization,
+    ) -> Result<Option<bool>, Error> {
+        if let Some(limit) = limits.max_area {
+            let area = realization.area();
+            if area > limit {
+                return Err(Error::AreaLimit { area, limit });
+            }
+        }
+        if !job.verify {
+            return Ok(None);
+        }
+        let ok = match &job.multi {
+            Some(outputs) => realization.computes_outputs(outputs),
+            None => realization.computes(&job.function),
+        };
+        if !ok {
+            return Err(Error::Verification {
+                strategy: strategy.to_string(),
+            });
+        }
+        Ok(Some(true))
+    }
+
+    /// The SOP cover the flow and the mapper place: the backend's memo
+    /// when synthesis produced one, else — a cover-free backend (the SAT
+    /// search) or a legacy cache entry — one built now in the job's mode.
+    fn placement_cover(&self, job: &Job, memo: Option<Arc<Cover>>) -> Arc<Cover> {
+        memo.unwrap_or_else(|| {
+            let ctx = SynthesisContext {
+                minimize: self.minimize_of(job),
+                ..SynthesisContext::default()
+            };
+            Arc::new(ctx.cover(&job.function))
+        })
+    }
+
     /// Runs the staged BISM mapper for one job, one stage per deadline
     /// check — the state machine's seams are what let a time-limited
     /// engine bound even a long mapping search.
@@ -704,24 +692,7 @@ impl Engine {
         deadline: Option<Instant>,
         limits: Limits,
     ) -> Result<MapReport, Error> {
-        if job.map_config.speculation == 0 {
-            return Err(Error::MapConfig {
-                message: "speculation width must be >= 1".into(),
-            });
-        }
-        if cover.is_zero_cover() || cover.has_universe_cube() {
-            return Err(Error::ConstantFunction {
-                num_vars: job.function.num_vars(),
-            });
-        }
-        let app = Application::from_cover(cover);
-        let size = chip.size();
-        if size.rows < app.product_count() || size.cols < app.used_cols() {
-            return Err(Error::MapFabric {
-                needed: (app.product_count(), app.used_cols()),
-                fabric: (size.rows, size.cols),
-            });
-        }
+        let app = map_application(job, cover, &chip)?;
         let mut mapper = Mapper::new(app, chip, job.map_config);
         while !mapper.is_done() {
             mapper.step();
@@ -734,7 +705,7 @@ impl Engine {
     /// driven** mapping session needs: the realization (for rendering
     /// the final result), the placement cover, the derived
     /// [`Application`], the materialised chip, and the map config. The
-    /// validation is exactly [`Engine::run`]'s map path — same errors,
+    /// validation is exactly [`Engine::run`]'s map path — same checks,
     /// same order — so a [`Mapper`] built from the returned setup and
     /// run to completion reports bit-identically to `run` on the same
     /// job. This is the engine half of the service's resumable `/v1/map`
@@ -746,51 +717,17 @@ impl Engine {
         })?;
         let limits = self.effective_limits(job);
         let deadline = limits.time.map(|t| Instant::now() + t);
-        let Synthesized::Logic {
-            strategy,
-            realization,
-            cover,
-        } = self.realize(job, limits, deadline)?
+        let Synthesized::Logic(strategy, CachedSynthesis { realization, cover }) =
+            self.realize(job, limits, deadline, true)?
         else {
             // Job::mvm never sets a map target, so the early map-target
             // check above already rejected any mvm job.
             unreachable!("map jobs are synthesis jobs");
         };
-        if let Some(limit) = limits.max_area {
-            let area = realization.area();
-            if area > limit {
-                return Err(Error::AreaLimit { area, limit });
-            }
-        }
-        if job.verify && !realization.computes(&job.function) {
-            return Err(Error::Verification { strategy });
-        }
-        if job.map_config.speculation == 0 {
-            return Err(Error::MapConfig {
-                message: "speculation width must be >= 1".into(),
-            });
-        }
-        let cover = cover.unwrap_or_else(|| {
-            let ctx = SynthesisContext {
-                minimize: self.minimize,
-                ..SynthesisContext::default()
-            };
-            Arc::new(ctx.cover(&job.function))
-        });
-        if cover.is_zero_cover() || cover.has_universe_cube() {
-            return Err(Error::ConstantFunction {
-                num_vars: job.function.num_vars(),
-            });
-        }
-        let app = Application::from_cover(&cover);
+        self.check_realization(job, limits, &strategy, &realization)?;
+        let cover = self.placement_cover(job, cover);
         let chip = self.resolve_chip(spec);
-        let size = chip.size();
-        if size.rows < app.product_count() || size.cols < app.used_cols() {
-            return Err(Error::MapFabric {
-                needed: (app.product_count(), app.used_cols()),
-                fabric: (size.rows, size.cols),
-            });
-        }
+        let app = map_application(job, &cover, &chip)?;
         Ok(MapSetup {
             strategy,
             realization,
@@ -809,10 +746,10 @@ impl Engine {
     /// that job's `Err` while every other job completes normally.
     ///
     /// Identical synthesis work is deduplicated **within the batch**:
-    /// jobs agreeing on (function, strategy) synthesise once and every
-    /// slot shares the resulting [`Realization`] (per-job verification,
-    /// limits, and chip mapping still run per slot). With a cache enabled
-    /// the dedupe extends across batches.
+    /// jobs agreeing on (function, strategy, minimise mode) synthesise
+    /// once and every slot shares the resulting [`Realization`] (per-job
+    /// verification, limits, and chip mapping still run per slot). With
+    /// a cache enabled the dedupe extends across batches.
     pub fn run_batch(&self, jobs: &[Job]) -> Vec<Result<JobResult, Error>> {
         // Group jobs by synthesis content. `assign[i]` is job i's group;
         // `reps[g]` is the index of the first job of group g, which does
@@ -833,17 +770,12 @@ impl Engine {
             // mirroring the synthesis/flow split.
             // Multi-output jobs group on their full output set, under the
             // same reserved key the result cache uses.
+            let mode = self.minimize_of(job);
+            let name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
             let key = match (&job.mvm, &job.multi) {
-                (Some(spec), _) => mvm_program_key(spec, self.minimize),
-                (None, Some(outputs)) => multi_synthesis_key(
-                    outputs,
-                    job.strategy.as_deref().unwrap_or(&self.default_strategy),
-                    self.minimize,
-                ),
-                (None, None) => {
-                    let name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
-                    CacheKey::new(&job.function, name, self.minimize)
-                }
+                (Some(spec), _) => mvm_program_key(spec, mode),
+                (None, Some(outputs)) => multi_synthesis_key(outputs, name, mode),
+                (None, None) => CacheKey::new(&job.function, name, mode),
             };
             let group = *groups.entry((key, job.limits)).or_insert_with(|| {
                 reps.push(i);
@@ -869,7 +801,7 @@ impl Engine {
                         let limits = self.effective_limits(&jobs[rep]);
                         let deadline = limits.time.map(|t| started + t);
                         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.realize(&jobs[rep], limits, deadline)
+                            self.realize(&jobs[rep], limits, deadline, true)
                         }))
                         .unwrap_or_else(|payload| {
                             Err(Error::Panicked {
@@ -952,6 +884,32 @@ fn check_deadline(deadline: Option<Instant>, limits: Limits) -> Result<(), Error
     }
 }
 
+/// The map-path checks, in their fixed order — speculation width, a
+/// non-constant cover, then the fabric size — shared by
+/// [`Engine::run`]'s mapper and [`Engine::prepare_map`]. Returns the
+/// application the mapper places.
+fn map_application(job: &Job, cover: &Cover, chip: &DefectMap) -> Result<Application, Error> {
+    if job.map_config.speculation == 0 {
+        return Err(Error::MapConfig {
+            message: "speculation width must be >= 1".into(),
+        });
+    }
+    if cover.is_zero_cover() || cover.has_universe_cube() {
+        return Err(Error::ConstantFunction {
+            num_vars: job.function.num_vars(),
+        });
+    }
+    let app = Application::from_cover(cover);
+    let size = chip.size();
+    if size.rows < app.product_count() || size.cols < app.used_cols() {
+        return Err(Error::MapFabric {
+            needed: (app.product_count(), app.used_cols()),
+            fabric: (size.rows, size.cols),
+        });
+    }
+    Ok(app)
+}
+
 /// Rewrites a backend's deadline-exhaustion error into the engine's
 /// [`Error::TimeLimit`] (the deadline is derived from `limits.time`).
 fn classify_deadline(e: Error, limits: Limits) -> Error {
@@ -977,13 +935,9 @@ pub(crate) const MVM_STRATEGY: &str = "analog-mvm";
 /// job, shared by every slot of a dedupe group.
 #[derive(Clone)]
 enum Synthesized {
-    /// A synthesis job: the resolved backend name, the shared
-    /// realization, and the memoised SOP cover when one was built.
-    Logic {
-        strategy: String,
-        realization: Arc<Realization>,
-        cover: Option<Arc<Cover>>,
-    },
+    /// A synthesis job: the resolved backend name, plus the shared
+    /// realization and the memoised SOP cover when one was built.
+    Logic(String, CachedSynthesis),
     /// An mvm job: the programmed differential conductance targets.
     Mvm { program: Arc<ProgramTargets> },
 }
@@ -1769,6 +1723,145 @@ mod tests {
                 .unwrap_err(),
             Error::ConstantFunction { num_vars: 2 }
         );
+    }
+
+    #[test]
+    fn per_job_minimize_modes_stay_apart_in_dedupe_and_cache() {
+        use crate::backend::DiodeBackend;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        struct CountingDiode;
+        impl SynthesisBackend for CountingDiode {
+            fn name(&self) -> &str {
+                "counting-diode"
+            }
+            fn technology(&self) -> Technology {
+                Technology::Diode
+            }
+            fn synthesize(
+                &self,
+                f: &TruthTable,
+                ctx: &SynthesisContext,
+            ) -> Result<Realization, Error> {
+                CALLS.fetch_add(1, Ordering::SeqCst);
+                DiodeBackend.synthesize(f, ctx)
+            }
+        }
+        let engine = Engine::builder()
+            .backend(Arc::new(CountingDiode))
+            .cache_capacity(256)
+            .build()
+            .unwrap();
+        // x0 + x1 spelled redundantly: ISOP keeps a 3-literal cover, the
+        // exact minimiser finds the 2-literal one.
+        let f = parse_function("x0 x1 + x0 !x1 + !x0 x1").unwrap();
+        let job = |mode| {
+            Job::synthesize(f.clone())
+                .with_strategy(Strategy::Diode)
+                .with_minimize(mode)
+                .verified(true)
+        };
+        let reference = |mode| {
+            let engine = Engine::builder().minimize(mode).build().unwrap();
+            let result = engine.run(&Job::synthesize(f.clone()).with_strategy(Strategy::Diode));
+            result.unwrap().realization.unwrap()
+        };
+        let (isop, exact) = (
+            reference(MinimizeMode::Isop),
+            reference(MinimizeMode::Exact),
+        );
+        assert_ne!(isop, exact, "the two modes must realise differently");
+        let jobs: Vec<Job> = [MinimizeMode::Exact, MinimizeMode::Isop]
+            .into_iter()
+            .cycle()
+            .take(4)
+            .map(|mode| job(mode).with_strategy_name("counting-diode"))
+            .collect();
+
+        CALLS.store(0, Ordering::SeqCst);
+        let results = engine.run_batch(&jobs);
+        assert_eq!(CALLS.load(Ordering::SeqCst), 2, "one dedupe group per mode");
+        let stats = engine.cache_stats().unwrap();
+        assert_eq!(
+            (stats.len, stats.misses),
+            (2, 2),
+            "one cache entry per mode"
+        );
+        let realization = |i: usize| results[i].as_ref().unwrap().realization.clone().unwrap();
+        for (i, want) in [&exact, &isop, &exact, &isop].into_iter().enumerate() {
+            assert_eq!(&realization(i), want, "slot {i}");
+        }
+        assert!(Arc::ptr_eq(&realization(0), &realization(2)));
+        assert!(Arc::ptr_eq(&realization(1), &realization(3)));
+
+        // Replaying the cache into a fresh engine (what a warm restart
+        // does) keeps the two entries apart: every slot is a hit and
+        // still gets its own mode's realization.
+        let replayed = Arc::new(ResultCache::new(256));
+        for (key, value) in engine.cache().unwrap().snapshot() {
+            replayed.insert(key, value);
+        }
+        let warm = Engine::builder()
+            .backend(Arc::new(CountingDiode))
+            .shared_cache(replayed)
+            .build()
+            .unwrap();
+        CALLS.store(0, Ordering::SeqCst);
+        for (i, result) in warm.run_batch(&jobs).iter().enumerate() {
+            assert_eq!(result.as_ref().unwrap().realization, Some(realization(i)));
+        }
+        assert_eq!(
+            CALLS.load(Ordering::SeqCst),
+            0,
+            "replayed entries serve every slot"
+        );
+        assert_eq!(warm.cache_stats().unwrap().misses, 0);
+
+        // A per-job mode beats the builder default in either direction.
+        let exact_default = Engine::builder()
+            .minimize(MinimizeMode::Exact)
+            .build()
+            .unwrap();
+        let isop_job = job(MinimizeMode::Isop);
+        assert_eq!(
+            exact_default.run(&isop_job).unwrap().realization,
+            Some(isop.clone())
+        );
+        assert_eq!(
+            Engine::new()
+                .run(&job(MinimizeMode::Exact))
+                .unwrap()
+                .realization,
+            Some(exact)
+        );
+    }
+
+    #[test]
+    fn run_local_never_consults_the_fill_hook() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let engine = Engine::builder()
+            .cache_capacity(64)
+            .cache_fill_hook(CacheFillHook::new(move |_: &CacheKey| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                None
+            }))
+            .build()
+            .unwrap();
+        let f = parse_function("x0 x1 + !x0 !x1").unwrap();
+        let local = engine.run_local(&Job::synthesize(f.clone())).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "run_local skips the hook");
+        // The local synthesis was admitted, so a hooked run now hits.
+        let hooked = engine.run(&Job::synthesize(f)).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "a hit skips the hook too");
+        assert!(Arc::ptr_eq(
+            local.realization.as_ref().unwrap(),
+            hooked.realization.as_ref().unwrap()
+        ));
+        // A fresh miss through `run` still asks the hook.
+        engine.run(&Job::parse("x0 + x1").unwrap()).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]

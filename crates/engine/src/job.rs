@@ -15,7 +15,7 @@ use nanoxbar_mvm::{MvmOutcome, MvmSpec};
 use nanoxbar_reliability::defect::DefectMap;
 use nanoxbar_reliability::mapper::{MapConfig, MapReport};
 
-use crate::backend::Strategy;
+use crate::backend::{MinimizeMode, Strategy};
 use crate::engine::Limits;
 use crate::error::Error;
 use crate::flow::FlowReport;
@@ -39,13 +39,16 @@ pub enum ChipSpec {
 /// One synthesis (and optionally mapping) request.
 ///
 /// Build with [`Job::synthesize`] or [`Job::parse`], then chain the
-/// `with_*`/`on_*` configurators:
+/// `with_*`/`on_*` configurators. Strategy and minimise mode default to
+/// the engine's; [`Job::with_minimize`] makes the mode the job's own, so
+/// one engine serves ISOP and exact jobs side by side:
 ///
 /// ```
-/// use nanoxbar_engine::{Job, Strategy};
+/// use nanoxbar_engine::{Job, MinimizeMode, Strategy};
 ///
 /// let job = Job::parse("x0 x1 + !x0 !x1")?
-///     .with_strategy(Strategy::OptimalLattice)
+///     .with_strategy(Strategy::Diode)
+///     .with_minimize(MinimizeMode::Exact)
 ///     .verified(true);
 /// # Ok::<(), nanoxbar_engine::Error>(())
 /// ```
@@ -54,6 +57,8 @@ pub struct Job {
     pub(crate) function: TruthTable,
     /// `None` selects the engine's default strategy.
     pub(crate) strategy: Option<String>,
+    /// `None` selects the engine's default minimise mode.
+    pub(crate) minimize: Option<MinimizeMode>,
     pub(crate) chip: Option<ChipSpec>,
     /// The chip a BISM mapping runs against, if any.
     pub(crate) map_chip: Option<ChipSpec>,
@@ -77,6 +82,7 @@ impl Job {
         Job {
             function,
             strategy: None,
+            minimize: None,
             chip: None,
             map_chip: None,
             map_config: MapConfig::default(),
@@ -109,6 +115,7 @@ impl Job {
                 .cloned()
                 .unwrap_or_else(|| TruthTable::ones(1)),
             strategy: Some(Strategy::Bdd.name().to_string()),
+            minimize: None,
             chip: None,
             map_chip: None,
             map_config: MapConfig::default(),
@@ -136,6 +143,7 @@ impl Job {
             // Placeholder target; never synthesised for mvm jobs.
             function: TruthTable::ones(1),
             strategy: None,
+            minimize: None,
             chip: None,
             map_chip: None,
             map_config: MapConfig::default(),
@@ -171,6 +179,16 @@ impl Job {
     /// Selects any registered backend by name (for custom backends).
     pub fn with_strategy_name(mut self, name: impl Into<String>) -> Self {
         self.strategy = Some(name.into());
+        self
+    }
+
+    /// Picks how this job's SOP covers are minimised, overriding the
+    /// engine default ([`crate::EngineBuilder::minimize`]). The mode is
+    /// part of every key the job touches — result cache, batch dedupe,
+    /// the MVM program memo — so jobs differing only in mode never share
+    /// a synthesis, while one engine serves both modes.
+    pub fn with_minimize(mut self, mode: MinimizeMode) -> Self {
+        self.minimize = Some(mode);
         self
     }
 
@@ -300,6 +318,7 @@ mod tests {
         let job = Job::parse("x0 x1")
             .unwrap()
             .with_strategy(Strategy::Fet)
+            .with_minimize(MinimizeMode::Exact)
             .on_random_chip(ArraySize::new(8, 8), 7)
             .map_on_random_chip(ArraySize::new(16, 16), 9)
             .with_map_config(map_config)
@@ -310,6 +329,7 @@ mod tests {
             .verified(true)
             .labeled("and2");
         assert_eq!(job.strategy(), Some("fet"));
+        assert_eq!(job.minimize, Some(MinimizeMode::Exact));
         assert!(job.verify);
         assert_eq!(job.label.as_deref(), Some("and2"));
         assert!(matches!(job.chip, Some(ChipSpec::Random { seed: 7, .. })));

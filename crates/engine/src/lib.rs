@@ -8,9 +8,12 @@
 //! * [`SynthesisBackend`] — one trait for the four synthesis strategies
 //!   (diode, FET, dual-based lattice, SAT-optimal lattice), registered as
 //!   trait objects in a [`BackendRegistry`];
-//! * [`Engine`] / [`EngineBuilder`] — strategy selection, minimisation
-//!   options, thread budget, fault model, per-job time/area/SAT limits;
-//! * [`Job`] / [`JobResult`] — typed requests and outcomes;
+//! * [`Engine`] / [`EngineBuilder`] — strategy selection, the default
+//!   minimise mode, thread budget, fault model, per-job time/area/SAT
+//!   limits;
+//! * [`Job`] / [`JobResult`] — typed requests and outcomes; a job may
+//!   pick its own minimise mode ([`Job::with_minimize`]), so one engine
+//!   serves both;
 //!   [`Engine::run_batch`] fans jobs out across the `nanoxbar-par`
 //!   work-stealing pool with deterministic, input-ordered results and
 //!   per-job error isolation; jobs can additionally run the

@@ -7,11 +7,12 @@
 use proptest::prelude::*;
 
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{Engine, Error, Job, JobResult, Strategy as SynthStrategy};
+use nanoxbar_engine::{Engine, Error, Job, JobResult, MinimizeMode, Strategy as SynthStrategy};
 use nanoxbar_logic::TruthTable;
 
 /// One random job drawn from a deliberately small space (1–2 variables,
-/// 4 strategies) so batches collide constantly — the cache-hot regime.
+/// 4 strategies, 2 minimise modes) so batches collide constantly — the
+/// cache-hot regime.
 fn arb_job() -> impl Strategy<Value = Job> {
     (any::<u8>(), 1usize..=2, 0u8..=255, 0u64..50).prop_map(|(bits, num_vars, knobs, seed)| {
         let f = TruthTable::from_fn(num_vars, |m| (bits >> (m % 8)) & 1 == 1);
@@ -25,6 +26,12 @@ fn arb_job() -> impl Strategy<Value = Job> {
         };
         if (knobs / 5) % 3 == 0 {
             job = job.on_random_chip(ArraySize::new(12, 12), seed);
+        }
+        // Half the jobs pick a minimise mode of their own; the rest take
+        // the engine default (ISOP), so the same function recurs under
+        // both modes and must never share an entry across them.
+        if (knobs / 30) % 2 == 0 {
+            job = job.with_minimize(MinimizeMode::Exact);
         }
         job.verified((knobs / 15) % 2 == 0)
     })

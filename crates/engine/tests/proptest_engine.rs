@@ -8,13 +8,14 @@
 use proptest::prelude::*;
 
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{Engine, Error, Job, JobResult, Strategy as SynthStrategy};
+use nanoxbar_engine::{Engine, Error, Job, JobResult, MinimizeMode, Strategy as SynthStrategy};
 use nanoxbar_logic::TruthTable;
 use nanoxbar_reliability::defect::DefectMap;
 
 /// One random job: a 1–3 variable function (constants included on
 /// purpose), a strategy pick that sometimes names a nonexistent backend,
-/// and sometimes a chip — occasionally one too small for the SOP.
+/// sometimes a chip — occasionally one too small for the SOP — and a
+/// per-job minimise mode on about half the jobs.
 fn arb_job() -> impl Strategy<Value = Job> {
     (any::<u64>(), 1usize..=3, 0u8..=255, 0u64..1000).prop_map(|(bits, num_vars, knobs, seed)| {
         let f = TruthTable::from_fn(num_vars, |m| (bits >> (m % 64)) & 1 == 1);
@@ -32,6 +33,9 @@ fn arb_job() -> impl Strategy<Value = Job> {
             1 => job.on_chip(DefectMap::healthy(ArraySize::new(2, 2))), // usually too small
             _ => job,
         };
+        if (knobs / 48) % 2 == 0 {
+            job = job.with_minimize(MinimizeMode::Exact);
+        }
         job.verified((knobs / 24) % 2 == 0)
             .labeled(format!("job-{bits:x}"))
     })

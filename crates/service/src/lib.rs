@@ -10,6 +10,17 @@
 //! work fans out on the `nanoxbar-par` work-stealing pool regardless of
 //! which HTTP worker carried the request.
 //!
+//! A [`Service`] holds **one engine** for every route. The request's
+//! `"minimize"` field becomes each job's own mode
+//! ([`Job::with_minimize`](nanoxbar_engine::Job::with_minimize)), which
+//! is part of every cache and dedupe key, so ISOP and exact jobs share
+//! the engine and its cache without ever sharing a result. Every job
+//! route lowers its specs the same way and runs them through one slot
+//! path: `/v1/synthesize`, `/v1/map` and `/v1/mvm` are one-slot batches
+//! after their endpoint checks. A job therefore renders the same slot
+//! bytes and advances the same counters whether it arrived alone, in a
+//! buffered batch, or in a streamed one.
+//!
 //! ## Endpoints
 //!
 //! | Endpoint              | Meaning                                        |
@@ -307,6 +318,12 @@
 //! deadlines, bounded retries with jittered exponential backoff, and a
 //! circuit breaker that fails fast after consecutive failures, then
 //! re-probes half-open after a cooldown.
+//!
+//! The replica answering a `/v1/peer/fill` serves a miss by local
+//! synthesis through
+//! [`Engine::run_local`](nanoxbar_engine::Engine::run_local), which never
+//! consults the fill hook. A fill therefore never chains from peer to
+//! peer, even when replicas disagree about who owns a key.
 //!
 //! A three-replica session (each lists the *other two* in `--peers`):
 //!

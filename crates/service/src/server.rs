@@ -22,7 +22,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{
-    CacheStats, Engine, Job, JobResult, Limits, Mapper, MapperSnapshot, MinimizeMode, ResultCache,
+    CacheFillHook, CacheStats, Engine, Error as EngineError, Job, JobResult, Limits, Mapper,
+    MapperSnapshot, MinimizeMode,
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
@@ -48,7 +49,7 @@ pub struct ServiceConfig {
     /// HTTP worker threads (connection handlers — synthesis parallelism
     /// comes from the `nanoxbar-par` pool, sized by `NANOXBAR_THREADS`).
     pub workers: usize,
-    /// Weight budget of the [`ResultCache`] shared by both engines
+    /// Weight budget of the engine's [`nanoxbar_engine::ResultCache`]
     /// (entries weigh their realization's crosspoint count); 0 disables
     /// caching.
     pub cache_capacity: usize,
@@ -133,20 +134,18 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The socket-free request handler: engines (one per minimise mode,
-/// sharing one result cache), metrics, and routing. Split from the
-/// socket loop so tests can drive it directly.
+/// The socket-free request handler: one [`Engine`] for every route and
+/// both minimise modes (each job carries the request's mode), metrics,
+/// and routing. Split from the socket loop so tests can drive it
+/// directly.
+///
+/// In fleet mode the engine carries the peer cache-fill hook, and
+/// `/v1/peer/fill` is answered through [`Engine::run_local`], which
+/// skips the hook. Fill amplification is therefore impossible: even a
+/// misconfigured fleet whose replicas disagree about the ring can never
+/// chain fill requests peer to peer to peer.
 pub struct Service {
-    /// `engines[0]` = ISOP covers, `engines[1]` = exact minimisation.
-    /// In fleet mode these carry the peer cache-fill hook.
-    engines: [Engine; 2],
-    /// Hook-free twins of `engines` sharing the same cache, used only by
-    /// the `/v1/peer/fill` handler. Serving fills through hook-free
-    /// engines makes fill amplification structurally impossible: even a
-    /// misconfigured fleet whose replicas disagree about the ring can
-    /// never chain fill requests peer-to-peer-to-peer.
-    fill_engines: [Engine; 2],
-    cache: Option<Arc<ResultCache>>,
+    engine: Engine,
     metrics: Arc<Metrics>,
     max_batch_jobs: usize,
     sessions: Arc<SessionTable>,
@@ -222,8 +221,6 @@ impl Service {
         dialer: Arc<dyn NetDialer>,
         self_addr: String,
     ) -> std::io::Result<Service> {
-        let cache =
-            (config.cache_capacity > 0).then(|| Arc::new(ResultCache::new(config.cache_capacity)));
         let metrics = Arc::new(Metrics::default());
         let fleet = (!config.peers.is_empty()).then(|| {
             Arc::new(Fleet::new(
@@ -241,30 +238,13 @@ impl Service {
                 metrics.clone(),
             ))
         });
-        let engine_for = |mode: MinimizeMode, fill: bool| {
-            let mut builder = Engine::builder().minimize(mode);
-            if let Some(cache) = &cache {
-                builder = builder.shared_cache(cache.clone());
-            }
-            if fill {
-                if let Some(fleet) = &fleet {
-                    let fleet = fleet.clone();
-                    builder =
-                        builder.cache_fill_hook(nanoxbar_engine::CacheFillHook::new(move |key| {
-                            fleet.fill(key)
-                        }));
-                }
-            }
-            builder.build().expect("default strategies are registered")
-        };
-        let engines = [
-            engine_for(MinimizeMode::Isop, true),
-            engine_for(MinimizeMode::Exact, true),
-        ];
-        let fill_engines = [
-            engine_for(MinimizeMode::Isop, false),
-            engine_for(MinimizeMode::Exact, false),
-        ];
+        let mut builder = Engine::builder().cache_capacity(config.cache_capacity);
+        if let Some(fleet) = &fleet {
+            let fleet = fleet.clone();
+            builder = builder.cache_fill_hook(CacheFillHook::new(move |key| fleet.fill(key)));
+        }
+        let engine = builder.build().expect("default strategies are registered");
+        let cache = engine.cache().cloned();
         let sessions = Arc::new(SessionTable::new(
             config.session_ttl,
             config.session_capacity,
@@ -333,11 +313,7 @@ impl Service {
                 let Some((minimize, spec_json, snapshot)) = folded.remove(&id) else {
                     continue;
                 };
-                let engine = match minimize {
-                    MinimizeMode::Isop => &engines[0],
-                    MinimizeMode::Exact => &engines[1],
-                };
-                match materialize_session(engine, minimize, &spec_json, snapshot) {
+                match materialize_session(&engine, minimize, &spec_json, snapshot) {
                     Ok(entry) => {
                         sessions.insert(id, entry);
                     }
@@ -374,9 +350,7 @@ impl Service {
         }
 
         Ok(Service {
-            engines,
-            fill_engines,
-            cache,
+            engine,
             metrics,
             max_batch_jobs: config.max_batch_jobs,
             sessions,
@@ -393,7 +367,7 @@ impl Service {
 
     /// Counters of the shared result cache, when caching is enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.engine.cache_stats()
     }
 
     /// What boot-time replay recovered (zeroes when persistence is off).
@@ -418,95 +392,82 @@ impl Service {
         }
     }
 
-    fn engine(&self, mode: MinimizeMode) -> &Engine {
-        match mode {
-            MinimizeMode::Isop => &self.engines[0],
-            MinimizeMode::Exact => &self.engines[1],
-        }
-    }
-
-    fn fill_engine(&self, mode: MinimizeMode) -> &Engine {
-        match mode {
-            MinimizeMode::Isop => &self.fill_engines[0],
-            MinimizeMode::Exact => &self.fill_engines[1],
-        }
-    }
-
-    /// Routes one request to a response (the socket layer handles
-    /// framing; this is pure request → response).
+    /// Routes one request to a buffered response (the socket layer
+    /// handles framing; this is pure request → response). A
+    /// `"stream": true` batch is answered buffered here too: its body is
+    /// the de-chunked stream, byte for byte.
     pub fn handle(&self, request: &Request) -> Response {
-        let response = match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => {
-                Metrics::bump(&self.metrics.requests_other);
-                self.healthz()
+        self.respond(request, None)
+            .expect("without a stream sink every request is answered buffered")
+    }
+
+    /// Routes one request, with the per-endpoint request count, latency
+    /// and `http_errors` accounting done here for every transport. Given
+    /// a `stream` sink, a `"stream": true` batch is emitted through it as
+    /// chunk fragments and `None` comes back; every other request returns
+    /// its buffered response.
+    fn respond(
+        &self,
+        request: &Request,
+        stream: Option<&mut dyn FnMut(Vec<u8>)>,
+    ) -> Option<Response> {
+        let m = &*self.metrics;
+        let path = request.path.as_str();
+        let (requests, latency) = match (request.method.as_str(), path) {
+            ("POST", "/v1/synthesize") => (&m.requests_synthesize, Some(&m.latency)),
+            ("POST", "/v1/map") => (&m.requests_map, Some(&m.latency)),
+            ("POST", "/v1/batch") => (&m.requests_batch, Some(&m.latency)),
+            ("POST", "/v1/mvm") => (&m.requests_mvm, Some(&m.mvm_latency)),
+            ("GET", "/healthz" | "/metrics") | ("POST", "/v1/peer/fill" | "/v1/peer/session") => {
+                (&m.requests_other, None)
             }
-            ("GET", "/metrics") => {
-                Metrics::bump(&self.metrics.requests_other);
-                let peers = self
-                    .fleet
-                    .as_ref()
-                    .map(|fleet| fleet.statuses())
-                    .unwrap_or_default();
-                Response::text(
-                    200,
-                    self.metrics.render_prometheus(
-                        self.cache_stats(),
-                        nanoxbar_par::pool_stats(),
-                        &peers,
-                    ),
-                )
+            _ => {
+                Metrics::bump(&m.http_errors);
+                return Some(match path {
+                    "/healthz" | "/metrics" | "/v1/synthesize" | "/v1/map" | "/v1/batch"
+                    | "/v1/mvm" | "/v1/peer/fill" | "/v1/peer/session" => {
+                        error_response(405, "method not allowed for this endpoint")
+                    }
+                    _ => error_response(404, "no such endpoint"),
+                });
             }
-            ("POST", "/v1/synthesize") => {
-                Metrics::bump(&self.metrics.requests_synthesize);
-                let started = Instant::now();
-                let response = self.synthesize(&request.body);
-                self.metrics.latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/map") => {
-                Metrics::bump(&self.metrics.requests_map);
-                let started = Instant::now();
-                let response = self.map(&request.body);
-                self.metrics.latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/batch") => {
-                Metrics::bump(&self.metrics.requests_batch);
-                let started = Instant::now();
-                let response = self.batch(&request.body);
-                self.metrics.latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/mvm") => {
-                Metrics::bump(&self.metrics.requests_mvm);
-                let started = Instant::now();
-                let response = self.mvm(&request.body);
-                self.metrics.mvm_latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/peer/fill") => {
-                Metrics::bump(&self.metrics.requests_other);
-                self.peer_fill(&request.body)
-            }
-            ("POST", "/v1/peer/session") => {
-                Metrics::bump(&self.metrics.requests_other);
-                self.peer_session(&request.body)
-            }
-            (
-                _,
-                "/healthz" | "/metrics" | "/v1/synthesize" | "/v1/map" | "/v1/batch" | "/v1/mvm"
-                | "/v1/peer/fill" | "/v1/peer/session",
-            ) => error_response(405, "method not allowed for this endpoint"),
-            _ => error_response(404, "no such endpoint"),
         };
-        if response.status >= 400 {
-            Metrics::bump(&self.metrics.http_errors);
+        Metrics::bump(requests);
+        let started = Instant::now();
+        let body = &request.body;
+        let response = match path {
+            "/healthz" => Some(self.healthz()),
+            "/metrics" => Some(self.prometheus()),
+            "/v1/batch" => self.batch(body, stream),
+            "/v1/peer/fill" => Some(self.peer_fill(body)),
+            "/v1/peer/session" => Some(self.peer_session(body)),
+            _ => Some(self.one_job(path, body)),
+        };
+        if let Some(latency) = latency {
+            latency.observe(started.elapsed());
+        }
+        if response.as_ref().is_some_and(|r| r.status >= 400) {
+            Metrics::bump(&m.http_errors);
         }
         response
     }
 
+    fn prometheus(&self) -> Response {
+        let peers = self
+            .fleet
+            .as_ref()
+            .map(|fleet| fleet.statuses())
+            .unwrap_or_default();
+        Response::text(
+            200,
+            self.metrics
+                .render_prometheus(self.cache_stats(), nanoxbar_par::pool_stats(), &peers),
+        )
+    }
+
     fn healthz(&self) -> Response {
-        let strategies = self.engines[0]
+        let strategies = self
+            .engine
             .strategies()
             .into_iter()
             .map(Json::Str)
@@ -612,7 +573,7 @@ impl Service {
                 // The analog in-memory-compute path (`POST /v1/mvm`) is
                 // always compiled in; its results report this strategy.
                 ("analog_mvm", Json::Str("analog-mvm".into())),
-                ("cache_enabled", Json::Bool(self.cache.is_some())),
+                ("cache_enabled", Json::Bool(self.engine.cache().is_some())),
                 ("pool_threads", Json::from(nanoxbar_par::threads())),
                 ("reactor", reactor),
                 ("persist", persist),
@@ -622,98 +583,192 @@ impl Service {
         )
     }
 
-    /// `POST /v1/synthesize`: one job object, with optional top-level
-    /// `"minimize"`/`"limits"` fields next to the job fields.
-    fn synthesize(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return response,
-        };
-        self.single_job(&json, minimize, limits, false)
-    }
-
-    /// `POST /v1/map`: one job object with a required `"chip"`; the BISM
-    /// `"map"` options default when absent. Runs through
-    /// [`Engine::run_batch`] like every other request, so identical
-    /// requests give byte-identical bodies at every thread count. A
-    /// top-level `"session"` object switches to the incremental,
+    /// `POST /v1/synthesize`, `/v1/map` and `/v1/mvm`: one job object
+    /// next to the optional top-level `"minimize"`/`"limits"` fields.
+    /// After the endpoint's own checks — `/v1/map` needs a `"chip"` (its
+    /// `"map"` options default when absent), `/v1/mvm` an `"mvm"` object
+    /// — the job runs as a one-slot batch through [`Service::run_slots`],
+    /// so its body is byte-identical to the same job's `/v1/batch` slot.
+    /// A spec that fails to lower answers `400` with that slot's bytes;
+    /// a typed engine error is a `200` with `"ok": false`. On `/v1/map`,
+    /// a top-level `"session"` object switches to the incremental,
     /// resumable protocol ([`Service::map_session`]).
-    fn map(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
+    fn one_job(&self, path: &str, body: &[u8]) -> Response {
+        let (json, scope) = match self.parse_request_head(body) {
             Ok(parts) => parts,
             Err(response) => return response,
         };
-        if json.get("session").is_some() || json.get("resume").is_some() {
-            return self.map_session(&json, minimize, limits);
+        let mapping = path == "/v1/map";
+        if mapping && (json.get("session").is_some() || json.get("resume").is_some()) {
+            return self.map_session(&json, scope);
         }
-        self.single_job(&json, minimize, limits, true)
-    }
-
-    /// Shared single-job handler behind `/v1/synthesize` and `/v1/map`.
-    fn single_job(
-        &self,
-        json: &Json,
-        minimize: MinimizeMode,
-        limits: Option<Limits>,
-        mapping: bool,
-    ) -> Response {
-        // Strip the routing fields ("minimize", "limits") before spec
-        // parsing — they are request-scoped, not job content.
-        let job_json = strip_fields(json, &["minimize", "limits"]);
-        let mut spec = match JobSpec::from_json(&job_json) {
-            Ok(spec) => spec,
-            Err(message) => return error_response(400, &message),
-        };
-        if mapping {
-            if spec.chip.is_none() {
+        // Strip the routing fields before spec parsing — they are
+        // request-scoped, not job content.
+        let slot = JobSpec::from_json(&strip_fields(&json, &["minimize", "limits"]));
+        if let Ok(spec) = &slot {
+            if mapping && spec.chip.is_none() {
                 return error_response(400, "map requests need a \"chip\" to map onto");
             }
-            // The endpoint itself requests mapping; options default.
-            spec.map.get_or_insert_with(MapRequest::default);
+            if path == "/v1/mvm" && spec.mvm.is_none() {
+                return error_response(400, "mvm requests need an \"mvm\" object");
+            }
         }
-        let job = match spec.to_job() {
-            Ok(job) => apply_limits(job, limits),
-            Err(message) => return error_response(400, &message),
-        };
-        let results = self.engine(minimize).run_batch(std::slice::from_ref(&job));
-        self.count_jobs(&results);
-        self.count_maps(&results);
-        self.count_mvms(&results);
-        self.count_multis(&results);
-        Response::json(200, result_to_json(&results[0]).encode())
+        let slot = scope.lower(slot.map(|mut spec| {
+            if mapping {
+                spec.map.get_or_insert_with(MapRequest::default);
+            }
+            spec
+        }));
+        let status = if slot.is_ok() { 200 } else { 400 };
+        let mut body = String::new();
+        self.run_slots(vec![slot], false, &mut |rendered| body = rendered.encode());
+        Response::json(status, body)
     }
 
-    /// `POST /v1/mvm`: one analog matrix-vector job — an `"mvm"` object
-    /// next to the usual top-level `"minimize"`/`"limits"` fields. The
-    /// job runs through [`Engine::run_batch`] like every other request,
-    /// so the differential-pair program step dedupes and memoises while
-    /// the chip-specific Monte-Carlo execution runs per request; fixed
-    /// reduction order makes identical requests give byte-identical
-    /// bodies at every `NANOXBAR_THREADS`. A semantically bad spec
-    /// (impossible defect probabilities, non-finite noise) is a `400`
-    /// here — the engine's typed `mvm-spec` error is reserved for batch
-    /// slots, where it poisons only its own slot.
-    fn mvm(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
+    /// `POST /v1/batch`: `{"minimize": …, "limits": …, "jobs": [jobspec,
+    /// …]}` with per-slot error isolation — a bad spec poisons its slot,
+    /// not the request. Map slots (a `"map"` object next to a `"chip"`),
+    /// mvm and multi-output slots ride along with synthesis slots.
+    ///
+    /// With a `stream` sink and `"stream": true`, the slots are emitted
+    /// through the sink as they finish and `None` comes back; otherwise
+    /// the buffered response. Request errors are never streamed — a
+    /// client that asked to stream still gets a plain status it can
+    /// switch on. Both forms render through [`Service::render_batch`], so
+    /// the de-chunked stream is the buffered body byte for byte.
+    fn batch(&self, body: &[u8], stream: Option<&mut dyn FnMut(Vec<u8>)>) -> Option<Response> {
+        let (json, scope) = match self.parse_request_head(body) {
             Ok(parts) => parts,
-            Err(response) => return response,
+            Err(response) => return Some(response),
         };
-        let job_json = strip_fields(&json, &["minimize", "limits"]);
-        let spec = match JobSpec::from_json(&job_json) {
-            Ok(spec) => spec,
-            Err(message) => return error_response(400, &message),
+        let Some(specs) = json.get("jobs").and_then(Json::as_array) else {
+            return Some(error_response(400, "batch needs a \"jobs\" array"));
         };
-        if spec.mvm.is_none() {
-            return error_response(400, "mvm requests need an \"mvm\" object");
+        if specs.len() > self.max_batch_jobs {
+            return Some(error_response(
+                400,
+                &format!(
+                    "batch of {} jobs exceeds the limit of {}",
+                    specs.len(),
+                    self.max_batch_jobs
+                ),
+            ));
         }
-        let job = match spec.to_job() {
-            Ok(job) => apply_limits(job, limits),
-            Err(message) => return error_response(400, &message),
-        };
-        let results = self.engine(minimize).run_batch(std::slice::from_ref(&job));
-        self.count_jobs(&results);
-        self.count_mvms(&results);
-        Response::json(200, result_to_json(&results[0]).encode())
+        let slots = specs
+            .iter()
+            .map(|spec| scope.lower(JobSpec::from_json(spec)))
+            .collect();
+        match stream {
+            Some(stream) if json.get("stream").and_then(Json::as_bool) == Some(true) => {
+                self.render_batch(slots, true, &mut |fragment| stream(fragment.into_bytes()));
+                None
+            }
+            _ => {
+                let mut body = String::new();
+                self.render_batch(slots, false, &mut |fragment| body.push_str(&fragment));
+                Some(Response::json(200, body))
+            }
+        }
+    }
+
+    /// Renders a batch body, `{"count":N,"results":[…]}`, as fragments:
+    /// the opening through slot 0, one `,slot` per further slot, then the
+    /// closing `]}`. A stream sends each fragment as a chunk the moment
+    /// its slot is rendered; a buffered body is their concatenation.
+    fn render_batch(
+        &self,
+        slots: Vec<Result<Job, String>>,
+        one_at_a_time: bool,
+        emit: &mut dyn FnMut(String),
+    ) {
+        let mut fragment = format!("{{\"count\":{},\"results\":[", slots.len());
+        let mut first = true;
+        self.run_slots(slots, one_at_a_time, &mut |rendered| {
+            if !first {
+                fragment.push(',');
+            }
+            first = false;
+            fragment.push_str(&rendered.encode());
+            emit(std::mem::take(&mut fragment));
+        });
+        // With zero slots the opening never flushed; `]}` completes the
+        // body either way.
+        fragment.push_str("]}");
+        emit(fragment);
+    }
+
+    /// The one path from lowered jobs to rendered slots, shared by every
+    /// job route: runs the jobs on the engine, counts the outcomes
+    /// ([`Service::count_results`]), and hands each rendered slot to
+    /// `emit` in input order. A slot whose spec failed to lower (`Err`)
+    /// never reaches the engine and renders as a `bad-request` slot.
+    ///
+    /// Normally all jobs run as one [`Engine::run_batch`] (intra-batch
+    /// dedupe, fanned out on the pool). With `one_at_a_time` — streamed
+    /// batches — each slot is its own engine batch, so slot 0 is emitted
+    /// before the later jobs start; engine determinism and the shared
+    /// cache keep every slot byte-identical either way.
+    fn run_slots(
+        &self,
+        slots: Vec<Result<Job, String>>,
+        one_at_a_time: bool,
+        emit: &mut dyn FnMut(Json),
+    ) {
+        if one_at_a_time {
+            for slot in slots {
+                self.run_slots(vec![slot], false, emit);
+            }
+            return;
+        }
+        let mut jobs = Vec::with_capacity(slots.len());
+        let refused: Vec<Option<String>> = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Ok(job) => {
+                    jobs.push(job);
+                    None
+                }
+                Err(message) => Some(message),
+            })
+            .collect();
+        let results = self.engine.run_batch(&jobs);
+        self.count_results(refused.iter().flatten().count(), &results);
+        let mut results = results.iter();
+        for slot in refused {
+            emit(match slot {
+                Some(message) => bad_slot("bad-request", &message),
+                None => result_to_json(results.next().expect("one engine result per job")),
+            });
+        }
+    }
+
+    /// Counts one engine run plus `refused` slots whose spec never
+    /// reached the engine: every slot is a job; refused specs and typed
+    /// engine errors are job errors; completed maps (and failed
+    /// searches), MVMs (and their Monte-Carlo trials) and multi-output
+    /// realizations (and their outputs) are tallied by kind.
+    fn count_results(&self, refused: usize, results: &[Result<JobResult, EngineError>]) {
+        let m = &*self.metrics;
+        let errors = results.iter().filter(|r| r.is_err()).count();
+        Metrics::add(&m.jobs, (refused + results.len()) as u64);
+        Metrics::add(&m.job_errors, (refused + errors) as u64);
+        for result in results.iter().flatten() {
+            if let Some(map) = &result.map {
+                Metrics::bump(&m.maps);
+                if !map.stats.success {
+                    Metrics::bump(&m.map_failures);
+                }
+            }
+            if let Some(mvm) = &result.mvm {
+                Metrics::bump(&m.mvms);
+                Metrics::add(&m.mvm_trials, u64::from(mvm.trials));
+            }
+            let outputs = result.realization.as_ref().map_or(1, |r| r.num_outputs());
+            if outputs > 1 {
+                Metrics::bump(&m.multis);
+                Metrics::add(&m.multi_outputs, outputs as u64);
+            }
+        }
     }
 
     /// The incremental `/v1/map` protocol: a `"session": {"id", "rounds"?}`
@@ -724,7 +779,7 @@ impl Service {
     /// response is the ordinary map result (its `"map"` object is
     /// byte-identical to an uninterrupted `/v1/map` run) plus a
     /// `"session"` trailer.
-    fn map_session(&self, json: &Json, minimize: MinimizeMode, limits: Option<Limits>) -> Response {
+    fn map_session(&self, json: &Json, scope: Scope) -> Response {
         self.sweep_sessions();
         let resume = match json.get("resume") {
             None => false,
@@ -805,14 +860,14 @@ impl Service {
             spec.map.get_or_insert_with(MapRequest::default);
             let label = spec.label.clone();
             let verified = spec.verify;
-            let job = match spec.to_job() {
-                Ok(job) => apply_limits(job, limits),
+            let job = match scope.lower(Ok(spec)) {
+                Ok(job) => job,
                 Err(message) => return error_response(400, &message),
             };
             Metrics::bump(&self.metrics.jobs);
             // Synthesis/verification runs once, at creation; request
             // "limits" apply here and are not part of the durable spec.
-            let setup = match self.engine(minimize).prepare_map(&job) {
+            let setup = match self.engine.prepare_map(&job) {
                 Ok(setup) => setup,
                 Err(error) => {
                     Metrics::bump(&self.metrics.job_errors);
@@ -821,7 +876,7 @@ impl Service {
             };
             Metrics::bump(&self.metrics.sessions_created);
             SessionEntry {
-                minimize,
+                minimize: scope.minimize,
                 spec: job_json,
                 setup,
                 label,
@@ -884,9 +939,7 @@ impl Service {
             // Completed: the session does not go back in the table; a
             // tombstone supersedes its checkpoints in the log.
             self.log_session_drop(&id);
-            self.metrics
-                .sessions_active
-                .store(self.sessions.len() as u64, Ordering::Relaxed);
+            self.update_sessions_gauge();
             Response::json(200, body.encode())
         } else {
             let snapshot = mapper.snapshot();
@@ -907,9 +960,7 @@ impl Service {
                 Metrics::bump(&self.metrics.sessions_expired);
                 self.log_session_drop(&evicted);
             }
-            self.metrics
-                .sessions_active
-                .store(self.sessions.len() as u64, Ordering::Relaxed);
+            self.update_sessions_gauge();
             Response::json(
                 200,
                 object(vec![("ok", Json::Bool(true)), ("session", progress)]).encode(),
@@ -919,13 +970,13 @@ impl Service {
 
     /// `POST /v1/peer/fill`: a peer asks this replica — the ring owner —
     /// for one cache entry by content address. A hit answers from the
-    /// cache; a miss synthesises locally through the hook-free
-    /// [`Self::fill_engine`]s (never chaining another peer fill), which
-    /// also admits the entry for future requests. The response body is
+    /// cache; a miss synthesises through [`Engine::run_local`], which
+    /// never consults the fill hook (so never chains another peer fill)
+    /// and admits the entry for future requests. The response body is
     /// exactly a cache-log record, so the requester reuses the replay
     /// decoder verbatim.
     fn peer_fill(&self, body: &[u8]) -> Response {
-        let Some(cache) = &self.cache else {
+        let Some(cache) = self.engine.cache() else {
             return error_response(404, "caching is disabled on this replica");
         };
         let key = match parse_peer_fill(body) {
@@ -935,14 +986,16 @@ impl Service {
         if cache.get(&key).is_none() {
             let function =
                 nanoxbar_logic::TruthTable::from_words(key.num_vars(), key.words().to_vec());
-            let job = Job::synthesize(function).with_strategy_name(key.strategy());
-            Metrics::bump(&self.metrics.jobs);
-            // `run` (not `run_batch`): the fill is one job on this worker
-            // thread, and staying off the pool keeps in-process fleet
-            // tests (MemNet dials resolve inside pool workers) from
+            let job = Job::synthesize(function)
+                .with_strategy_name(key.strategy())
+                .with_minimize(key.minimize());
+            // `run_local` (not `run_batch`): the fill is one job on this
+            // worker thread, and staying off the pool keeps in-process
+            // fleet tests (MemNet dials resolve inside pool workers) from
             // nesting pool scopes.
-            if let Err(_e) = self.fill_engine(key.minimize()).run(&job) {
-                Metrics::bump(&self.metrics.job_errors);
+            let result = self.engine.run_local(&job);
+            self.count_results(0, std::slice::from_ref(&result));
+            if result.is_err() {
                 return error_response(404, "this replica cannot synthesize the requested entry");
             }
         }
@@ -975,9 +1028,7 @@ impl Service {
             Some(entry) => {
                 let payload = entry.to_payload(&id);
                 self.log_session_drop(&id);
-                self.metrics
-                    .sessions_active
-                    .store(self.sessions.len() as u64, Ordering::Relaxed);
+                self.update_sessions_gauge();
                 Response::json(
                     200,
                     String::from_utf8(payload).expect("session records are JSON"),
@@ -1002,7 +1053,7 @@ impl Service {
                 spec,
                 snapshot,
             }) if record_id == id => {
-                materialize_session(self.engine(minimize), minimize, &spec, snapshot).ok()
+                materialize_session(&self.engine, minimize, &spec, snapshot).ok()
             }
             _ => None,
         }
@@ -1014,6 +1065,10 @@ impl Service {
             Metrics::bump(&self.metrics.sessions_expired);
             self.log_session_drop(&id);
         }
+        self.update_sessions_gauge();
+    }
+
+    fn update_sessions_gauge(&self) {
         self.metrics
             .sessions_active
             .store(self.sessions.len() as u64, Ordering::Relaxed);
@@ -1025,226 +1080,17 @@ impl Service {
         }
     }
 
-    /// `POST /v1/batch`: `{"minimize": …, "limits": …, "jobs":
-    /// [jobspec, …]}` with per-slot error isolation — a bad spec poisons
-    /// its slot, not the request. Map slots (a `"map"` object next to a
-    /// `"chip"`) ride along with synthesis slots.
-    fn batch(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return response,
-        };
-        self.batch_buffered(&json, minimize, limits)
-    }
-
-    /// Shared `/v1/batch` slot validation: specs that fail to parse keep
-    /// their slot (input-ordered responses) but never reach the engine;
-    /// valid jobs are moved — not cloned — into the engine batch.
-    #[allow(clippy::result_large_err)]
-    fn batch_slots(
-        &self,
-        json: &Json,
-        limits: Option<Limits>,
-    ) -> Result<(Vec<Option<String>>, Vec<Job>), Response> {
-        let Some(slots) = json.get("jobs").and_then(Json::as_array) else {
-            return Err(error_response(400, "batch needs a \"jobs\" array"));
-        };
-        if slots.len() > self.max_batch_jobs {
-            return Err(error_response(
-                400,
-                &format!(
-                    "batch of {} jobs exceeds the limit of {}",
-                    slots.len(),
-                    self.max_batch_jobs
-                ),
-            ));
-        }
-        let mut slot_errors: Vec<Option<String>> = Vec::with_capacity(slots.len());
-        let mut jobs: Vec<Job> = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match JobSpec::from_json(slot).and_then(|spec| spec.to_job()) {
-                Ok(job) => {
-                    slot_errors.push(None);
-                    jobs.push(apply_limits(job, limits));
-                }
-                Err(message) => slot_errors.push(Some(message)),
-            }
-        }
-        Ok((slot_errors, jobs))
-    }
-
-    /// The buffered (non-streaming) batch path: one engine batch, one
-    /// JSON body.
-    fn batch_buffered(
-        &self,
-        json: &Json,
-        minimize: MinimizeMode,
-        limits: Option<Limits>,
-    ) -> Response {
-        let (slot_errors, jobs) = match self.batch_slots(json, limits) {
-            Ok(parts) => parts,
-            Err(response) => return response,
-        };
-        let engine_results = self.engine(minimize).run_batch(&jobs);
-        self.count_maps(&engine_results);
-        self.count_mvms(&engine_results);
-        self.count_multis(&engine_results);
-        // Every slot is one job; failed slots of either kind (unparsable
-        // spec, typed engine error) count as job errors.
-        Metrics::add(&self.metrics.jobs, slot_errors.len() as u64);
-        Metrics::add(
-            &self.metrics.job_errors,
-            (slot_errors.iter().filter(|s| s.is_some()).count()
-                + engine_results.iter().filter(|r| r.is_err()).count()) as u64,
-        );
-
-        let mut engine_results = engine_results.into_iter();
-        let rendered: Vec<Json> = slot_errors
-            .iter()
-            .map(|slot| match slot {
-                Some(message) => bad_slot("bad-request", message),
-                None => result_to_json(
-                    &engine_results
-                        .next()
-                        .expect("one engine result per valid spec"),
-                ),
-            })
-            .collect();
-        Response::json(
-            200,
-            object(vec![
-                ("count", Json::from(rendered.len())),
-                ("results", Json::Array(rendered)),
-            ])
-            .encode(),
-        )
-    }
-
-    /// `/v1/batch` with chunked streaming: a request carrying
-    /// `"stream": true` has its result slots **emitted as they finish**
-    /// instead of buffered until the last job completes.
-    ///
-    /// Returns `None` once the body has been fully emitted through
-    /// `emit`, or `Some(response)` when the request takes the buffered
-    /// path after all: `"stream"` absent or not `true`, or any request
-    /// error (errors are never streamed — a client that asked to stream
-    /// still gets a plain status it can switch on).
-    ///
-    /// The emitted fragments concatenate to **exactly** the buffered
-    /// body (`{"count":N,"results":[...]}`): slots are computed
-    /// sequentially in input order through the same [`Engine::run_batch`]
-    /// entry point, and engine determinism plus the shared result cache
-    /// make each slot byte-identical to what the one-shot batch renders.
-    pub(crate) fn batch_stream(
-        &self,
-        body: &[u8],
-        emit: &mut dyn FnMut(Vec<u8>),
-    ) -> Option<Response> {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return Some(response),
-        };
-        if json.get("stream").and_then(Json::as_bool) != Some(true) {
-            return Some(self.batch_buffered(&json, minimize, limits));
-        }
-        let (slot_errors, jobs) = match self.batch_slots(&json, limits) {
-            Ok(parts) => parts,
-            Err(response) => return Some(response),
-        };
-        Metrics::add(&self.metrics.jobs, slot_errors.len() as u64);
-        let mut jobs = jobs.into_iter();
-        let mut fragment = format!("{{\"count\":{},\"results\":[", slot_errors.len()).into_bytes();
-        for (index, slot) in slot_errors.iter().enumerate() {
-            let rendered = match slot {
-                Some(message) => {
-                    Metrics::bump(&self.metrics.job_errors);
-                    bad_slot("bad-request", message)
-                }
-                None => {
-                    let job = [jobs.next().expect("one job per valid spec")];
-                    let results = self.engine(minimize).run_batch(&job);
-                    self.count_maps(&results);
-                    self.count_mvms(&results);
-                    self.count_multis(&results);
-                    if results[0].is_err() {
-                        Metrics::bump(&self.metrics.job_errors);
-                    }
-                    result_to_json(&results[0])
-                }
-            };
-            if index > 0 {
-                fragment.push(b',');
-            }
-            fragment.extend_from_slice(rendered.encode().as_bytes());
-            emit(std::mem::take(&mut fragment));
-        }
-        // With zero slots the prefix never flushed; `]}` completes the
-        // body either way.
-        fragment.extend_from_slice(b"]}");
-        emit(fragment);
-        None
-    }
-
     /// Shared request preamble: JSON parse + minimise-mode and per-request
     /// limit extraction (out-of-range budgets are rejected here, before
     /// any engine work).
     #[allow(clippy::result_large_err)]
-    fn parse_request_head(
-        &self,
-        body: &[u8],
-    ) -> Result<(Json, MinimizeMode, Option<Limits>), Response> {
+    fn parse_request_head(&self, body: &[u8]) -> Result<(Json, Scope), Response> {
         let text = std::str::from_utf8(body)
             .map_err(|_| error_response(400, "request body is not UTF-8"))?;
         let json = Json::parse(text).map_err(|e| error_response(400, &e.to_string()))?;
         let minimize = parse_minimize(json.get("minimize")).map_err(|m| error_response(400, &m))?;
         let limits = parse_limits(json.get("limits")).map_err(|m| error_response(400, &m))?;
-        Ok((json, minimize, limits))
-    }
-
-    fn count_jobs<T>(&self, results: &[Result<T, nanoxbar_engine::Error>]) {
-        Metrics::add(&self.metrics.jobs, results.len() as u64);
-        Metrics::add(
-            &self.metrics.job_errors,
-            results.iter().filter(|r| r.is_err()).count() as u64,
-        );
-    }
-
-    /// Counts mapping outcomes: every completed map job, and those whose
-    /// search exhausted its budget without a working placement.
-    fn count_maps(&self, results: &[Result<nanoxbar_engine::JobResult, nanoxbar_engine::Error>]) {
-        for result in results.iter().flatten() {
-            if let Some(map) = &result.map {
-                Metrics::bump(&self.metrics.maps);
-                if !map.stats.success {
-                    Metrics::bump(&self.metrics.map_failures);
-                }
-            }
-        }
-    }
-
-    /// Counts analog MVM outcomes: every completed MVM job and the
-    /// Monte-Carlo trials it executed.
-    fn count_mvms(&self, results: &[Result<nanoxbar_engine::JobResult, nanoxbar_engine::Error>]) {
-        for result in results.iter().flatten() {
-            if let Some(mvm) = &result.mvm {
-                Metrics::bump(&self.metrics.mvms);
-                Metrics::add(&self.metrics.mvm_trials, u64::from(mvm.trials));
-            }
-        }
-    }
-
-    /// Counts multi-output outcomes: every completed shared-crossbar BDD
-    /// job and the output functions riding on it.
-    fn count_multis(&self, results: &[Result<nanoxbar_engine::JobResult, nanoxbar_engine::Error>]) {
-        for result in results.iter().flatten() {
-            if let Some(realization) = &result.realization {
-                let outputs = realization.num_outputs();
-                if outputs > 1 {
-                    Metrics::bump(&self.metrics.multis);
-                    Metrics::add(&self.metrics.multi_outputs, outputs as u64);
-                }
-            }
-        }
+        Ok((json, Scope { minimize, limits }))
     }
 }
 
@@ -1256,11 +1102,23 @@ impl Drop for Service {
     }
 }
 
-/// Applies the request-scoped limit overrides to one job.
-fn apply_limits(job: Job, limits: Option<Limits>) -> Job {
-    match limits {
-        Some(limits) => job.limited(limits),
-        None => job,
+/// The request-scoped job settings: the top-level `"minimize"` and
+/// `"limits"` fields, applied to every job of the request.
+#[derive(Clone, Copy)]
+struct Scope {
+    minimize: MinimizeMode,
+    limits: Option<Limits>,
+}
+
+impl Scope {
+    /// Lowers one parsed job spec into an engine job under these
+    /// settings — the spec → job step every route shares.
+    fn lower(self, spec: Result<JobSpec, String>) -> Result<Job, String> {
+        let job = spec?.to_job()?.with_minimize(self.minimize);
+        Ok(match self.limits {
+            Some(limits) => job.limited(limits),
+            None => job,
+        })
     }
 }
 
@@ -1294,7 +1152,7 @@ fn materialize_session(
     spec.map.get_or_insert_with(MapRequest::default);
     let label = spec.label.clone();
     let verified = spec.verify;
-    let job = spec.to_job()?;
+    let job = spec.to_job()?.with_minimize(minimize);
     let setup = engine.prepare_map(&job).map_err(|e| e.to_string())?;
     Ok(SessionEntry {
         minimize,
@@ -1386,7 +1244,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address and builds the engines.
+    /// Binds the configured address and builds the service.
     ///
     /// # Errors
     ///
@@ -1585,10 +1443,9 @@ impl ServerHandle {
     }
 }
 
-/// Computes and ships the response for one dispatched request. `/v1/batch`
-/// goes through [`Service::batch_stream`] so `"stream": true` requests
-/// emit chunked slots as they finish; everything else is one buffered
-/// [`Service::handle`] response.
+/// Computes and ships the response for one dispatched request through
+/// [`Service::respond`]: a `"stream": true` batch goes out as chunks as
+/// its slots finish, everything else as one buffered response.
 fn serve_request(
     service: &Service,
     reactor: &ReactorHandle,
@@ -1596,44 +1453,28 @@ fn serve_request(
     conn: u64,
     request: &Request,
 ) {
-    if request.method == "POST" && request.path == "/v1/batch" {
-        Metrics::bump(&service.metrics.requests_batch);
-        let started = Instant::now();
-        let close = request.wants_close() || draining.load(Ordering::SeqCst);
-        let mut streaming = false;
-        let buffered = service.batch_stream(&request.body, &mut |bytes| {
+    let close = request.wants_close() || draining.load(Ordering::SeqCst);
+    let mut streaming = false;
+    let buffered = service.respond(
+        request,
+        Some(&mut |bytes| {
             if !streaming {
                 streaming = true;
                 reactor.send(ToReactor::StreamHead { conn, close });
             }
             reactor.send(ToReactor::StreamChunk { conn, bytes });
-        });
-        service.metrics.latency.observe(started.elapsed());
-        match buffered {
-            None => reactor.send(ToReactor::StreamEnd { conn }),
-            Some(response) => {
-                if response.status >= 400 {
-                    Metrics::bump(&service.metrics.http_errors);
-                }
-                // Re-check the drain after the (possibly long) handling:
-                // the response still goes out, but the connection closes.
-                let close = close || draining.load(Ordering::SeqCst);
-                reactor.send(ToReactor::Respond {
-                    conn,
-                    response,
-                    close,
-                });
-            }
-        }
-        return;
+        }),
+    );
+    match buffered {
+        None => reactor.send(ToReactor::StreamEnd { conn }),
+        // Re-check the drain after the (possibly long) handling: the
+        // response still goes out, but the connection closes.
+        Some(response) => reactor.send(ToReactor::Respond {
+            conn,
+            response,
+            close: close || draining.load(Ordering::SeqCst),
+        }),
     }
-    let response = service.handle(request);
-    let close = request.wants_close() || draining.load(Ordering::SeqCst);
-    reactor.send(ToReactor::Respond {
-        conn,
-        response,
-        close,
-    });
 }
 
 /// Turns a connection away with `503` at accept time (the `max_conns`

@@ -294,6 +294,64 @@ fn shed_peers_do_not_trip_the_breaker() {
     assert_eq!(peer.get("state").unwrap().as_str(), Some("closed"));
 }
 
+/// Reads one unlabelled sample from a replica's `/metrics` scrape.
+fn sample(service: &Service, name: &str) -> u64 {
+    let scrape = String::from_utf8(service.handle(&get("/metrics")).body).unwrap();
+    scrape
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from the scrape:\n{scrape}"))
+}
+
+#[test]
+fn peer_fill_misses_synthesise_locally_and_never_chain() {
+    // Two replicas whose rings disagree: replica a's ring is {a, b},
+    // replica b's is {b, c}, and "replica:c" is never registered. A key
+    // that a routes to b and b routes to c reaches b as a /v1/peer/fill
+    // miss — which b must answer from local synthesis, never forwarding
+    // it to c (fill amplification).
+    let boot = |net: &MemNet, addr: &str, peer: &str| {
+        let dialer: Arc<dyn NetDialer> = Arc::new(net.clone());
+        let config = fleet_config(addr, &[peer]);
+        Arc::new(Service::with_net(&config, dialer).expect("replica boots"))
+    };
+    let net = MemNet::new();
+    let a = boot(&net, "replica:a", "replica:b");
+    let b = boot(&net, "replica:b", "replica:c");
+    net.register("replica:a", a.clone());
+    net.register("replica:b", b.clone());
+    // A twin of b on a network of its own: it shares b's ring view, so
+    // its dials to "replica:c" show which keys b's hook would forward.
+    let probe_net = MemNet::new();
+    let probe = boot(&probe_net, "replica:b", "replica:c");
+
+    let baseline = baseline_bodies();
+    let (mut fills_sent, mut disputed) = (0, 0);
+    for (i, bits) in (1..=24u8).enumerate() {
+        let body = synth_body(bits);
+        let dials = net.dials("replica:b");
+        let response = a.handle(&post("/v1/synthesize", &body));
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, baseline[i], "body diverged for bits={bits}");
+        let via_b = net.dials("replica:b") > dials;
+        let probe_dials = probe_net.dials("replica:c");
+        probe.handle(&post("/v1/synthesize", &body));
+        let b_owner_is_c = probe_net.dials("replica:c") > probe_dials;
+        fills_sent += u64::from(via_b);
+        disputed += u64::from(via_b && b_owner_is_c);
+    }
+    assert!(disputed > 0, "no key the two rings disagree on");
+
+    // b synthesised every fill miss itself and sent nothing outbound.
+    assert_eq!(net.dials("replica:c"), 0, "a fill chained to replica:c");
+    assert_eq!(sample(&b, "nanoxbar_peer_fills_total"), 0);
+    assert_eq!(sample(&b, "nanoxbar_peer_fill_failures_total"), 0);
+    assert_eq!(sample(&b, "nanoxbar_jobs_total"), fills_sent);
+    // Every fill a sent came back 200 with a record a could use.
+    assert_eq!(sample(&a, "nanoxbar_peer_fills_total"), fills_sent);
+    assert_eq!(sample(&a, "nanoxbar_peer_fill_failures_total"), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

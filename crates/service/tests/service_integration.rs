@@ -6,10 +6,11 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{Engine, Job};
-use nanoxbar_service::{result_to_json, JobSpec, Json, Server, ServiceConfig};
+use nanoxbar_service::{result_to_json, JobSpec, Json, Server, Service, ServiceConfig};
 
 /// Sends `request` raw and returns `(status, body)`.
 fn exchange(addr: &str, request: &[u8]) -> (u16, String) {
@@ -528,6 +529,115 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
         buffered,
         "streamed body must be byte-identical to the buffered body"
     );
+
+    handle.shutdown();
+}
+
+/// The job counters one job can advance: jobs, job errors, maps, mvms,
+/// multi-output jobs and their outputs.
+fn job_counters(service: &Service) -> [u64; 6] {
+    let m = service.metrics();
+    [
+        &m.jobs,
+        &m.job_errors,
+        &m.maps,
+        &m.mvms,
+        &m.multis,
+        &m.multi_outputs,
+    ]
+    .map(|counter| counter.load(Ordering::Relaxed))
+}
+
+#[test]
+fn single_job_endpoints_and_one_slot_batches_share_one_job_path() {
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let service = server.service();
+    let handle = server.start().expect("start");
+
+    // (single-job endpoint, job spec, its status there, counter deltas)
+    let cases = [
+        (
+            "/v1/synthesize",
+            "{\"expr\":\"x0 x1 + !x0 !x1\",\"strategy\":\"diode\",\"verify\":true}",
+            200,
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "/v1/synthesize",
+            "{\"expr\":\"x0 +\"}",
+            400,
+            [1, 1, 0, 0, 0, 0],
+        ),
+        (
+            "/v1/synthesize",
+            "{\"exprs\":[\"x0 ^ x1 ^ x2\",\"x0 x1 + x0 x2 + x1 x2\"],\"verify\":true}",
+            200,
+            [1, 0, 0, 0, 1, 2],
+        ),
+        (
+            "/v1/map",
+            "{\"expr\":\"x0 x1 + !x0 !x1\",\
+             \"chip\":{\"rows\":16,\"cols\":16,\"seed\":3,\"defect_rate\":0.05},\"map\":{}}",
+            200,
+            [1, 0, 1, 0, 0, 0],
+        ),
+        (
+            "/v1/mvm",
+            "{\"mvm\":{\"rows\":2,\"cols\":2,\"weights\":[0.5,-0.25,0.125,1.0],\
+             \"input\":[1.0,0.5],\"chip_seed\":3,\"trials\":2}}",
+            200,
+            [1, 0, 0, 1, 0, 0],
+        ),
+    ];
+    for (path, spec, status, deltas) in cases {
+        let delta = |before: [u64; 6]| {
+            let after = job_counters(&service);
+            std::array::from_fn::<u64, 6, _>(|i| after[i] - before[i])
+        };
+
+        let before = job_counters(&service);
+        let (got, single) = post_body(&addr, path, spec);
+        assert_eq!(got, status, "{path} {spec}: {single}");
+        assert_eq!(delta(before), deltas, "{path} {spec}");
+
+        let before = job_counters(&service);
+        let (got, buffered) = post_body(&addr, "/v1/batch", &format!("{{\"jobs\":[{spec}]}}"));
+        assert_eq!(got, 200, "{buffered}");
+        assert_eq!(delta(before), deltas, "buffered batch of {spec}");
+
+        let before = job_counters(&service);
+        let body = format!("{{\"stream\":true,\"jobs\":[{spec}]}}");
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .write_all(
+                format!(
+                    "POST /v1/batch HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            )
+            .expect("send");
+        let (got, chunks) = read_chunked_response(&mut BufReader::new(stream));
+        assert_eq!(got, 200);
+        assert_eq!(delta(before), deltas, "streamed batch of {spec}");
+        let streamed: Vec<u8> = chunks.into_iter().flat_map(|(_, bytes)| bytes).collect();
+
+        // The one-slot envelope around the single endpoint's body is
+        // byte-identical to both batch bodies.
+        let envelope = format!("{{\"count\":1,\"results\":[{single}]}}");
+        assert_eq!(buffered, envelope, "buffered slot of {spec}");
+        assert_eq!(
+            String::from_utf8(streamed).unwrap(),
+            envelope,
+            "streamed slot of {spec}"
+        );
+    }
 
     handle.shutdown();
 }
