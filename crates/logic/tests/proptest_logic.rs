@@ -6,7 +6,7 @@ use nanoxbar_logic::minimize::{
     espresso, prime_implicants, quine_mccluskey, EspressoOptions, MinimizeObjective,
 };
 use nanoxbar_logic::pla::{parse_pla, write_pla};
-use nanoxbar_logic::{dual_cover, isop, isop_cover, Cover, Cube, TruthTable};
+use nanoxbar_logic::{dual_cover, isop, isop_cover, Cover, Cube, Expr, TruthTable};
 
 fn arb_function(n: usize) -> impl Strategy<Value = TruthTable> {
     proptest::collection::vec(any::<bool>(), 1usize << n)
@@ -28,8 +28,36 @@ fn arb_cube(n: usize) -> impl Strategy<Value = Cube> {
     })
 }
 
+/// A random expression tree over `x0..x{n-1}` drawn from an xorshift
+/// stream: every node kind appears, constants included.
+fn random_expr(state: &mut u64, n: usize, depth: u32) -> Expr {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    let pick = if depth == 0 { *state % 2 } else { *state % 6 };
+    let sub = |state: &mut u64| Box::new(random_expr(state, n, depth - 1));
+    match pick {
+        0 => Expr::Var((*state >> 8) as usize % n),
+        1 => Expr::Const((*state >> 8) & 1 == 1),
+        2 => Expr::Not(sub(state)),
+        3 => Expr::And(sub(state), sub(state)),
+        4 => Expr::Or(sub(state), sub(state)),
+        _ => Expr::Xor(sub(state), sub(state)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The word-parallel truth table equals per-minterm evaluation, on
+    /// arities both below and above the one-word boundary.
+    #[test]
+    fn word_truth_table_matches_eval(seed in 1u64..1 << 40, n in 1usize..=12, depth in 0u32..7) {
+        let mut state = seed;
+        let expr = random_expr(&mut state, n, depth);
+        let reference = TruthTable::from_fn(n, |m| expr.eval(m));
+        prop_assert_eq!(expr.to_truth_table(n), reference);
+    }
 
     /// Cofactor algebra: Shannon expansion reconstructs the function.
     #[test]

@@ -7,6 +7,7 @@
 //! runs of the same job (cached or not, any thread count) produce
 //! byte-identical bodies. Latency lives in `/metrics`, not in bodies.
 
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 use nanoxbar_crossbar::ArraySize;
@@ -322,11 +323,21 @@ impl JobSpec {
     /// A human-readable message for unknown fields, type mismatches, or a
     /// missing/ambiguous function.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
+        JobSpec::from_json_skipping(v, &[])
+    }
+
+    /// [`JobSpec::from_json`] over an object whose `skip` members are
+    /// not job content (a one-job request's request-scoped fields): they
+    /// are passed over in place, so the request needs no trimmed copy.
+    pub(crate) fn from_json_skipping(v: &Json, skip: &[&str]) -> Result<JobSpec, String> {
         let Json::Object(members) = v else {
             return Err("job must be a JSON object".into());
         };
         let mut spec = JobSpec::default();
         for (key, value) in members {
+            if skip.contains(&key.as_str()) {
+                continue;
+            }
             match key.as_str() {
                 "expr" => spec.expr = Some(string_field(value, "expr")?),
                 "exprs" => spec.exprs = Some(string_array_field(value, "exprs")?),
@@ -737,12 +748,23 @@ pub fn error_kind(e: &Error) -> &'static str {
 /// `Debug`). Lets clients and the load generator assert that cached and
 /// fresh responses carry the *same* realization, not just the same area.
 pub fn fingerprint(realization: &Realization) -> String {
-    let mut hash: u64 = 0xCBF29CE484222325;
-    for byte in format!("{realization:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001B3);
+    let mut hash = Fnv1a(0xCBF29CE484222325);
+    write!(hash, "{realization:?}").expect("hashing never fails");
+    format!("{:016x}", hash.0)
+}
+
+/// FNV-1a as a [`fmt::Write`] sink: formatted text is hashed as it is
+/// produced, with no intermediate `String`.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for byte in s.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x100000001B3);
+        }
+        Ok(())
     }
-    format!("{hash:016x}")
 }
 
 /// Renders one batch slot as its wire object.
@@ -1000,6 +1022,28 @@ mod tests {
             fingerprint(pla_result.realization.as_ref().unwrap()),
             fingerprint(result.realization.as_ref().unwrap())
         );
+    }
+
+    /// The fingerprint hex is part of every response body, so it is
+    /// pinned per technology; the `"bdd"` job also crosses the one-word
+    /// truth-table boundary (7 variables).
+    #[test]
+    fn fingerprints_are_pinned_per_technology() {
+        let engine = Engine::new();
+        for (strategy, expr, pinned) in [
+            ("diode", "x0 x1 + !x0 !x1", "9e86b12433c82b5e"),
+            ("fet", "x0 x1 + !x0 !x1", "d39f9b388b29b18f"),
+            ("dual-lattice", "x0 x1 x2 + !x1 x3", "e4da8e665ccce262"),
+            ("bdd", "x0 x1 x2 + x3 ^ x4 + x5 x6", "8362700783552b7c"),
+        ] {
+            let spec = JobSpec {
+                strategy: Some(strategy.into()),
+                ..JobSpec::expr(expr)
+            };
+            let result = engine.run(&spec.to_job().unwrap()).unwrap();
+            let realization = result.realization.as_ref().unwrap();
+            assert_eq!(fingerprint(realization), pinned, "{strategy}: {expr}");
+        }
     }
 
     #[test]

@@ -44,18 +44,23 @@
 //! elsewhere). Sockets are non-blocking end to end: the reactor parks
 //! idle keep-alive connections at **zero thread cost**, accumulates
 //! request bytes as they arrive, and hands a connection to the worker
-//! pool only once a complete request sits in its read buffer. Responses
-//! travel back through the reactor as non-blocking writes against a
-//! per-connection write buffer, so a slow reader never holds a worker
-//! either. A connection's lifecycle:
+//! pool only once a complete request sits in its read buffer. The
+//! worker writes a buffered response straight to the non-blocking
+//! socket; in the common case (all of it went out, keep-alive, no
+//! pipelined successor) it re-arms read interest and posts a completion
+//! without waking the reactor, so a cached request costs one thread hop.
+//! Whatever the socket would not take, and every streamed batch, drains
+//! through the reactor's per-connection write buffer instead, so a slow
+//! reader never holds a worker either. A connection's lifecycle:
 //!
 //! ```text
 //!            accept                    complete request parsed
 //! listener ─────────▶ Reading ──────────────────────────▶ Dispatched
-//!                      ▲   │ partial bytes arm a                │ worker runs the job(s);
-//!                      │   │ read-timeout timer;                │ response (or chunked
-//!                      │   │ a parked idle conn                 │ stream) queued to the
-//!                      │   │ holds NO timer                     │ reactor
+//!                      ▲   │ partial bytes arm a                │ worker runs the job(s)
+//!                      │   │ read-timeout timer;                │ and writes the response;
+//!                      │   │ a parked idle conn                 │ any remainder (or a
+//!                      │   │ holds NO timer                     │ chunked stream) goes
+//!                      │   │                                    │ to the reactor
 //!                      │   ▼                                    ▼
 //!                      │  timeout ──▶ close            write buffer drains
 //!                      │                               (Streaming: one chunk

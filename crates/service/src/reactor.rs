@@ -8,10 +8,21 @@
 //! nothing else while idle: the reactor owns every socket, reads
 //! whatever bytes readiness delivers into an incremental
 //! [`RequestParser`], and hands only **complete requests** to the worker
-//! pool through the bounded [`RequestQueue`]. Responses travel back as
-//! [`ToReactor`] messages and leave through per-connection write buffers
-//! drained by non-blocking writes — a worker never touches a socket and
-//! so can never be stalled by a slow peer.
+//! pool through the bounded [`RequestQueue`].
+//!
+//! A buffered response takes one thread hop. The [`Dispatch`] carries the
+//! connection's socket, and the worker writes the response to it with
+//! non-blocking writes ([`ReactorHandle::respond`]); the reactor's write
+//! buffer is always empty while a request is dispatched, so bytes on one
+//! connection stay ordered. When the whole response went out and nothing
+//! else is pending, the worker re-arms read interest itself and posts a
+//! completion **without** ringing the doorbell: the reactor drains its
+//! inbox after every `wait`, so the completion is applied before that
+//! connection's next readable event. Anything else — a `WouldBlock`
+//! remainder, `Connection: close`, a pipelined successor already in the
+//! parser — goes back as [`ToReactor`] messages and leaves through the
+//! per-connection write buffer, as do streamed batches. A worker never
+//! blocks on a socket, so a slow peer can never stall one.
 //!
 //! Timers live here too. An idle connection between requests has **no
 //! deadline** (parking is free, so parking is unlimited); the configured
@@ -48,18 +59,26 @@ const CLOSING_GRACE: Duration = Duration::from_millis(250);
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
 /// Messages into the reactor thread; [`ReactorHandle::send`] rings the
-/// poller doorbell after each one so a blocked `wait` picks it up.
+/// poller doorbell after each one so a blocked `wait` picks it up — all
+/// but [`ToReactor::Written`], which needs no wakeup.
 pub(crate) enum ToReactor {
     /// A freshly-accepted connection to adopt.
     Register(TcpStream),
-    /// A complete response for a dispatched request.
+    /// The rest of a buffered response the worker could not write itself
+    /// (possibly empty: see [`ReactorHandle::respond`]).
     Respond {
         /// Connection ticket the request came in on.
         conn: u64,
-        /// The response to serialise into the write buffer.
-        response: Response,
+        /// Serialised response bytes the socket has not taken yet.
+        rest: Vec<u8>,
         /// Close after flushing (client asked, or drain in progress).
         close: bool,
+    },
+    /// The worker wrote the whole response and re-armed read interest:
+    /// the connection is back to reading. Posted without the doorbell.
+    Written {
+        /// Connection ticket.
+        conn: u64,
     },
     /// Open a chunked streaming response (`200`, JSON).
     StreamHead {
@@ -104,13 +123,67 @@ impl ReactorHandle {
         let _ = self.tx.send(msg);
         self.poller.notify();
     }
+
+    /// Answers a dispatched request with a buffered response, written
+    /// straight to its socket with non-blocking writes. In the common
+    /// case — all of it went out, the connection stays open, no
+    /// successor is waiting in the parser — the worker re-arms read
+    /// interest and posts [`ToReactor::Written`] without a wakeup. The
+    /// completion is queued *before* the re-arm, so the reactor (which
+    /// drains its inbox after every `wait`) always applies it before the
+    /// connection's next readable event. Otherwise the unwritten rest
+    /// goes to the reactor as [`ToReactor::Respond`]: on `WouldBlock` or
+    /// a broken socket (its flush sees the error and closes), to close
+    /// the connection, or to parse a pipelined successor.
+    pub(crate) fn respond(&self, dispatch: &Dispatch, response: &Response, close: bool) {
+        let bytes = response_bytes(response, close);
+        let mut written = 0;
+        while written < bytes.len() {
+            match (&*dispatch.stream).write(&bytes[written..]) {
+                Ok(0) => break,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        let conn = dispatch.conn;
+        if written == bytes.len() && !close && !dispatch.pipelined {
+            let _ = self.tx.send(ToReactor::Written { conn });
+            // Fails only once the reactor has dropped the connection; the
+            // held `Arc` keeps the descriptor from being reused meanwhile.
+            let _ = self
+                .poller
+                .modify(&*dispatch.stream, Event::readable(conn as usize));
+            return;
+        }
+        self.send(ToReactor::Respond {
+            conn,
+            rest: bytes[written..].to_vec(),
+            close,
+        });
+    }
+}
+
+/// A complete request on its way to a worker, with what the worker needs
+/// to answer it in place ([`ReactorHandle::respond`]).
+pub(crate) struct Dispatch {
+    /// Connection ticket.
+    pub(crate) conn: u64,
+    /// The connection's socket (non-blocking).
+    pub(crate) stream: Arc<TcpStream>,
+    /// The parser already holds bytes of a next request, which the
+    /// reactor must parse once this response is out: it will get no
+    /// readable event for bytes it has already read.
+    pub(crate) pipelined: bool,
+    /// The parsed request.
+    pub(crate) request: Request,
 }
 
 /// The bounded hand-off of **parsed requests** between the reactor and
 /// the workers. Full means the server is saturated: the reactor answers
 /// `503 Retry-After` itself instead of queueing unboundedly.
 pub(crate) struct RequestQueue {
-    pending: Mutex<VecDeque<(u64, Request)>>,
+    pending: Mutex<VecDeque<Dispatch>>,
     depth: usize,
     ready: Condvar,
     shutdown: AtomicBool,
@@ -128,24 +201,24 @@ impl RequestQueue {
         }
     }
 
-    /// Queues a parsed request; gives it back when the queue is full.
-    fn push(&self, conn: u64, request: Request) -> Result<(), Request> {
+    /// Queues a parsed request; `false` when the queue is full.
+    fn push(&self, dispatch: Dispatch) -> bool {
         let mut pending = self.pending.lock().expect("queue poisoned");
         if pending.len() >= self.depth {
-            return Err(request);
+            return false;
         }
-        pending.push_back((conn, request));
+        pending.push_back(dispatch);
         self.metrics
             .reactor_queue_depth
             .store(pending.len() as u64, Ordering::Relaxed);
         drop(pending);
         self.ready.notify_one();
-        Ok(())
+        true
     }
 
     /// Blocks for the next request (FIFO — no request starves); `None`
     /// once shut down and drained.
-    pub(crate) fn pop(&self) -> Option<(u64, Request)> {
+    pub(crate) fn pop(&self) -> Option<Dispatch> {
         let mut pending = self.pending.lock().expect("queue poisoned");
         loop {
             if let Some(item) = pending.pop_front() {
@@ -175,8 +248,10 @@ enum Phase {
     /// response — parse only proceeds once the write buffer is empty, so
     /// responses on one connection can never interleave).
     Reading,
-    /// A request is with the workers; bytes that arrive meanwhile are
-    /// buffered (pipelining) but not parsed.
+    /// A request is with the workers, which own the socket's write side
+    /// and read interest until they report back; the reactor neither
+    /// writes nor re-registers it. Bytes that arrive meanwhile stay in
+    /// the socket (pipelining) until read interest is re-armed.
     Dispatched,
     /// A chunked streaming response is in flight; `done` once the
     /// terminating chunk is buffered.
@@ -191,7 +266,8 @@ enum Phase {
 
 /// Reactor-side connection state.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with a worker while a request is dispatched.
+    stream: Arc<TcpStream>,
     parser: RequestParser,
     /// Pending outbound bytes; `out_pos` is how far the socket got.
     out: Vec<u8>,
@@ -219,7 +295,7 @@ enum FlushOutcome {
 /// Non-blocking flush of a connection's write buffer.
 fn flush(conn: &mut Conn) -> FlushOutcome {
     while conn.has_pending_out() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
+        match (&*conn.stream).write(&conn.out[conn.out_pos..]) {
             Ok(0) => return FlushOutcome::Broken,
             Ok(n) => conn.out_pos += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return FlushOutcome::Blocked,
@@ -289,9 +365,7 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            while let Ok(msg) = self.rx.try_recv() {
-                self.on_message(msg);
-            }
+            self.drain_inbox();
             if let Some(at) = self.shutdown_at {
                 // Post-shutdown the only work left is flushing buffered
                 // responses; everything else closes immediately.
@@ -317,6 +391,10 @@ impl Reactor {
                 return;
             }
             Metrics::bump(&self.metrics.reactor_wakeups);
+            // Apply completions before the events: a worker queues
+            // `Written` before re-arming the read interest that
+            // produced any readable event now in hand.
+            self.drain_inbox();
             for &event in &events {
                 self.on_event(event);
             }
@@ -337,23 +415,37 @@ impl Reactor {
         Some(soonest.saturating_duration_since(Instant::now()))
     }
 
+    fn drain_inbox(&mut self) {
+        while let Ok(msg) = self.rx.try_recv() {
+            self.on_message(msg);
+        }
+    }
+
     fn on_message(&mut self, msg: ToReactor) {
         match msg {
             ToReactor::Register(stream) => self.register(stream),
-            ToReactor::Respond {
-                conn,
-                response,
-                close,
-            } => {
+            ToReactor::Respond { conn, rest, close } => {
                 let close = close || self.draining;
                 let Some(c) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                c.out.extend_from_slice(&response_bytes(&response, close));
+                c.out.extend_from_slice(&rest);
                 c.close_after_flush = close;
                 c.phase = Phase::Reading;
                 self.note_high_water(conn);
                 self.pump(conn);
+            }
+            ToReactor::Written { conn } => {
+                let Some(c) = self.conns.get_mut(&conn) else {
+                    return;
+                };
+                c.phase = Phase::Reading;
+                // The worker already re-armed read interest. Only a drain
+                // that began meanwhile, or bytes a hangup probe fed the
+                // parser, need the full flush-completion transition.
+                if c.close_after_flush || c.parser.buffered() > 0 {
+                    self.after_flush(conn);
+                }
             }
             ToReactor::StreamHead { conn, close } => {
                 let close = close || self.draining;
@@ -430,7 +522,7 @@ impl Reactor {
         self.conns.insert(
             id,
             Conn {
-                stream,
+                stream: Arc::new(stream),
                 parser: RequestParser::new(),
                 out: Vec::new(),
                 out_pos: 0,
@@ -462,7 +554,10 @@ impl Reactor {
                 return;
             }
         }
-        if ev.writable {
+        // A dispatched connection has nothing buffered, and its interest
+        // belongs to the worker: re-registering it here could undo the
+        // worker's re-arm.
+        if ev.writable && phase != Phase::Dispatched {
             self.pump(id);
         }
     }
@@ -483,7 +578,7 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return false;
                 };
-                match conn.stream.read(&mut buf) {
+                match (&*conn.stream).read(&mut buf) {
                     // EOF: mid-request it matches the blocking core's
                     // silent close; between requests it's the clean
                     // keep-alive hangup. Either way nothing to flush.
@@ -539,7 +634,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return false;
         };
-        match conn.stream.read(&mut buf) {
+        match (&*conn.stream).read(&mut buf) {
             Ok(0) => {
                 self.close(id);
                 false
@@ -570,7 +665,7 @@ impl Reactor {
     fn try_dispatch(&mut self, id: u64) -> bool {
         enum Next {
             Settle,
-            Dispatch(Request),
+            Dispatch(Dispatch),
             Fail(HttpError),
         }
         let next = {
@@ -590,7 +685,12 @@ impl Reactor {
                 Ok(Some(request)) => {
                     self.timers.remove(&id);
                     conn.phase = Phase::Dispatched;
-                    Next::Dispatch(request)
+                    Next::Dispatch(Dispatch {
+                        conn: id,
+                        stream: conn.stream.clone(),
+                        pipelined: conn.parser.buffered() > 0,
+                        request,
+                    })
                 }
                 Err(error) => Next::Fail(error),
             }
@@ -600,8 +700,15 @@ impl Reactor {
                 self.refresh_interest(id);
                 true
             }
-            Next::Dispatch(request) => {
-                if self.queue.push(id, request).is_err() {
+            Next::Dispatch(dispatch) => {
+                // Drop read interest *before* the worker can see the
+                // request: once it has, the interest is the worker's to
+                // re-arm, and a later reactor update could undo that.
+                self.refresh_interest(id);
+                if !self.conns.contains_key(&id) {
+                    return false;
+                }
+                if !self.queue.push(dispatch) {
                     // Saturated: shed this request, not the whole accept
                     // queue — the client is told how to come back.
                     Metrics::bump(&self.metrics.rejected);
@@ -609,8 +716,6 @@ impl Reactor {
                         id,
                         &error_response(503, "server is at capacity").with_retry_after(1),
                     );
-                } else {
-                    self.refresh_interest(id);
                 }
                 self.conns.contains_key(&id)
             }
@@ -681,9 +786,10 @@ impl Reactor {
                 }
                 self.refresh_interest(id);
             }
-            Phase::Dispatched | Phase::Streaming { done: false } => {
-                self.refresh_interest(id);
-            }
+            // Unreachable: nothing is buffered while dispatched, and the
+            // interest is the worker's.
+            Phase::Dispatched => {}
+            Phase::Streaming { done: false } => self.refresh_interest(id),
             Phase::Reading | Phase::Streaming { done: true } => {
                 if close_after {
                     self.close(id);
@@ -696,11 +802,11 @@ impl Reactor {
                 };
                 if buffered > 0 {
                     // Pipelined successor already buffered: it gets a
-                    // fresh request deadline and parses immediately.
+                    // fresh request deadline and parses immediately
+                    // (`try_dispatch` sets the interest either way).
                     self.timers.insert(id, Instant::now() + self.read_timeout);
-                    if !self.try_dispatch(id) {
-                        return;
-                    }
+                    self.try_dispatch(id);
+                    return;
                 }
                 self.refresh_interest(id);
             }
@@ -720,7 +826,7 @@ impl Reactor {
             readable: matches!(conn.phase, Phase::Reading | Phase::Closing),
             writable: conn.has_pending_out(),
         };
-        if self.poller.modify(&conn.stream, event).is_err() {
+        if self.poller.modify(&*conn.stream, event).is_err() {
             self.close(id);
         }
     }
@@ -750,7 +856,7 @@ impl Reactor {
     fn close(&mut self, id: u64) {
         self.timers.remove(&id);
         if let Some(conn) = self.conns.remove(&id) {
-            let _ = self.poller.delete(&conn.stream);
+            let _ = self.poller.delete(&*conn.stream);
         }
         self.metrics
             .reactor_connections

@@ -7,8 +7,10 @@
 //! requests** onto a bounded queue; when the queue is full the request
 //! is turned away with `503` instead of piling up unbounded
 //! (load-shedding backpressure). A fixed set of worker threads pops
-//! requests and computes responses — never touching a socket; response
-//! bytes travel back through the reactor's per-connection write buffers.
+//! requests and computes responses, writing a buffered response straight
+//! to its non-blocking socket; only what the socket would not take (and
+//! every streamed batch) travels back through the reactor's
+//! per-connection write buffers.
 //! Synthesis itself is *not* done per worker: every request becomes an
 //! [`Engine::run_batch`] call, which fans out on the process-wide
 //! `nanoxbar-par` work-stealing pool — so one slow request parallelises
@@ -36,7 +38,7 @@ use crate::persist::{
     flush_lag, key_from_json, open_state, spawn_persister, PersistCmd, PersisterState,
     RecoveryInfo, SessionRecord, StatePersister,
 };
-use crate::reactor::{Reactor, ReactorHandle, RequestQueue, ToReactor};
+use crate::reactor::{Dispatch, Reactor, ReactorHandle, RequestQueue, ToReactor};
 use crate::session::{SessionEntry, SessionTable};
 use crate::wire::{object, Json};
 
@@ -602,9 +604,8 @@ impl Service {
         if mapping && (json.get("session").is_some() || json.get("resume").is_some()) {
             return self.map_session(&json, scope);
         }
-        // Strip the routing fields before spec parsing — they are
-        // request-scoped, not job content.
-        let slot = JobSpec::from_json(&strip_fields(&json, &["minimize", "limits"]));
+        // The routing fields are request-scoped, not job content.
+        let slot = JobSpec::from_json_skipping(&json, &["minimize", "limits"]);
         if let Ok(spec) = &slot {
             if mapping && spec.chip.is_none() {
                 return error_response(400, "map requests need a \"chip\" to map onto");
@@ -1320,8 +1321,8 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("nanoxbar-http-{index}"))
                     .spawn(move || {
-                        while let Some((conn, request)) = queue.pop() {
-                            serve_request(&service, &reactor, &draining, conn, &request);
+                        while let Some(dispatch) = queue.pop() {
+                            serve_request(&service, &reactor, &draining, &dispatch);
                         }
                     })?,
             );
@@ -1429,9 +1430,9 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers joined ⇒ every Respond/StreamEnd is already in the
-        // reactor inbox ahead of this Shutdown; the reactor flushes
-        // those responses (bounded) and exits.
+        // Workers joined ⇒ every Respond/Written/StreamEnd is already in
+        // the reactor inbox ahead of this Shutdown; the reactor flushes
+        // what is left of those responses (bounded) and exits.
         self.reactor.send(ToReactor::Shutdown);
         if let Some(reactor) = self.reactor_thread.take() {
             let _ = reactor.join();
@@ -1444,15 +1445,17 @@ impl ServerHandle {
 }
 
 /// Computes and ships the response for one dispatched request through
-/// [`Service::respond`]: a `"stream": true` batch goes out as chunks as
-/// its slots finish, everything else as one buffered response.
+/// [`Service::respond`]: a `"stream": true` batch goes out as chunks
+/// through the reactor as its slots finish, everything else as one
+/// buffered response the worker writes itself
+/// ([`ReactorHandle::respond`]).
 fn serve_request(
     service: &Service,
     reactor: &ReactorHandle,
     draining: &AtomicBool,
-    conn: u64,
-    request: &Request,
+    dispatch: &Dispatch,
 ) {
+    let (conn, request) = (dispatch.conn, &dispatch.request);
     let close = request.wants_close() || draining.load(Ordering::SeqCst);
     let mut streaming = false;
     let buffered = service.respond(
@@ -1469,11 +1472,11 @@ fn serve_request(
         None => reactor.send(ToReactor::StreamEnd { conn }),
         // Re-check the drain after the (possibly long) handling: the
         // response still goes out, but the connection closes.
-        Some(response) => reactor.send(ToReactor::Respond {
-            conn,
-            response,
-            close: close || draining.load(Ordering::SeqCst),
-        }),
+        Some(response) => reactor.respond(
+            dispatch,
+            &response,
+            close || draining.load(Ordering::SeqCst),
+        ),
     }
 }
 

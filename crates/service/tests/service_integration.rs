@@ -448,6 +448,147 @@ fn http_edges_over_real_sockets() {
     handle.shutdown();
 }
 
+/// Reads one response off `reader` and returns its raw bytes, head and
+/// body, whether framed by `content-length` or chunked.
+fn read_raw_response<R: BufRead>(reader: &mut R) -> Vec<u8> {
+    let mut raw = Vec::new();
+    let mut line = String::new();
+    let (mut length, mut chunked) = (0usize, false);
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("head line");
+        assert!(!line.is_empty(), "connection closed mid-response");
+        raw.extend_from_slice(line.as_bytes());
+        let lower = line.trim_end().to_ascii_lowercase();
+        if lower.is_empty() {
+            break;
+        }
+        if let Some(v) = lower.strip_prefix("content-length:") {
+            length = v.trim().parse().expect("length");
+        }
+        chunked |= lower == "transfer-encoding: chunked";
+    }
+    if !chunked {
+        let start = raw.len();
+        raw.resize(start + length, 0);
+        reader.read_exact(&mut raw[start..]).expect("body");
+        return raw;
+    }
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("chunk size line");
+        raw.extend_from_slice(line.as_bytes());
+        let size = usize::from_str_radix(line.trim_end(), 16).expect("chunk size");
+        let start = raw.len();
+        raw.resize(start + size + 2, 0); // payload + CRLF
+        reader.read_exact(&mut raw[start..]).expect("chunk payload");
+        if size == 0 {
+            return raw;
+        }
+    }
+}
+
+#[test]
+fn pipelined_requests_answer_in_order_and_byte_identical() {
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.start().expect("start");
+
+    let post = |path: &str, body: &str| {
+        format!(
+            "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let jobs = "[{\"expr\":\"x0 ^ x1\",\"verify\":true},\
+                {\"expr\":\"x0 x1 + x2\",\"strategy\":\"fet\"},\
+                {\"expr\":\"x0 ^ x1\",\"verify\":true}]";
+    let series = [
+        "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n".to_string(),
+        post(
+            "/v1/synthesize",
+            "{\"expr\":\"x0 x1 + !x0 !x1\",\"verify\":true}",
+        ),
+        post("/v1/batch", &format!("{{\"jobs\":{jobs}}}")),
+        post("/v1/batch", &format!("{{\"stream\":true,\"jobs\":{jobs}}}")),
+        post(
+            "/v1/synthesize",
+            "{\"expr\":\"x0 + x1 x2\",\"strategy\":\"dual-lattice\"}",
+        ),
+    ];
+    // Each request alone on its own keep-alive connection.
+    let alone: Vec<Vec<u8>> = series
+        .iter()
+        .map(|request| {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream.write_all(request.as_bytes()).expect("send");
+            read_raw_response(&mut BufReader::new(stream))
+        })
+        .collect();
+    assert!(String::from_utf8_lossy(&alone[3]).contains("transfer-encoding: chunked"));
+
+    // `/healthz` carries live counters, so it is compared by its status
+    // line; every other response must match byte for byte.
+    let check = |got: &[Vec<u8>], how: &str| {
+        for (i, (got, want)) in got.iter().zip(&alone).enumerate() {
+            if i == 0 {
+                assert!(got.starts_with(b"HTTP/1.1 200 OK\r\n"), "{how}: healthz");
+                assert!(String::from_utf8_lossy(got).contains("\"status\":\"ok\""));
+            } else {
+                assert_eq!(
+                    String::from_utf8_lossy(got),
+                    String::from_utf8_lossy(want),
+                    "{how}: response {i} differs from the same request sent alone"
+                );
+            }
+        }
+    };
+
+    // The whole series in one write: every successor after the first is
+    // already in the parser when its predecessor's response goes out.
+    let wire = series.concat();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    // A successor left waiting in the parser shows up as a timeout, not
+    // a hung test.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(wire.as_bytes()).expect("send");
+    let got: Vec<Vec<u8>> = series
+        .iter()
+        .map(|_| read_raw_response(&mut reader))
+        .collect();
+    check(&got, "one write");
+
+    // The same series split mid-head of each request in turn, on the
+    // same keep-alive connection.
+    let mut offset = 0;
+    for request in &series {
+        let split = offset + request.find("\r\n").expect("request line") + 4;
+        offset += request.len();
+        stream
+            .write_all(&wire.as_bytes()[..split])
+            .expect("send head");
+        std::thread::sleep(Duration::from_millis(20));
+        stream
+            .write_all(&wire.as_bytes()[split..])
+            .expect("send rest");
+        let got: Vec<Vec<u8>> = series
+            .iter()
+            .map(|_| read_raw_response(&mut reader))
+            .collect();
+        check(&got, &format!("split at byte {split}"));
+    }
+
+    handle.shutdown();
+}
+
 #[test]
 fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     let server = Server::bind(ServiceConfig {
@@ -459,14 +600,16 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     let addr = server.local_addr().expect("addr").to_string();
     let handle = server.start().expect("start");
 
-    // Slot 0 is a cheap synthesis; slot 1 burns a large mapping-attempt
-    // budget on a defect-saturated chip, so the batch's total latency is
-    // dominated by its *last* job. A buffered client sees nothing until
-    // that job finishes; a streaming client must hold slot 0 long before.
+    // Slot 0 is a cheap synthesis. On slot 1's defect-saturated chip
+    // the blind BISM search never finds a working placement, so it runs
+    // its whole 8000-attempt budget (greedy would give up after a few
+    // dozen). The batch's total latency is dominated by that *last*
+    // job. A buffered client sees nothing until it finishes; a streaming
+    // client must hold slot 0 long before.
     let cheap = "{\"expr\":\"x0 x1 + !x0 !x1\",\"label\":\"fast\"}";
     let heavy = "{\"expr\":\"x0 x1 x2 + x3 x4 x5 + x6 x7 x8 + x9 x10 x11\",\"label\":\"slow\",\
                  \"chip\":{\"rows\":48,\"cols\":48,\"seed\":7,\"defect_rate\":0.6},\
-                 \"map\":{\"strategy\":\"greedy\",\"max_attempts\":150000}}";
+                 \"map\":{\"strategy\":\"blind\",\"max_attempts\":8000}}";
 
     // The streaming pass goes FIRST, against a cold cache — a warmed
     // cache would make the heavy slot instant and prove nothing. The
@@ -520,6 +663,10 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
         &format!("{{\"jobs\":[{cheap},{heavy}]}}"),
     );
     assert_eq!(status, 200, "{buffered}");
+    assert!(
+        buffered.contains("\"success\":false,\"strategy\":\"blind\",\"speculation\":4,\"rounds\":2000,\"attempts\":8000,"),
+        "the heavy slot must exhaust its attempt budget: {buffered}"
+    );
     let streamed: Vec<u8> = chunks
         .into_iter()
         .flat_map(|(_, payload)| payload)
