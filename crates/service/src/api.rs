@@ -323,13 +323,17 @@ impl JobSpec {
     /// A human-readable message for unknown fields, type mismatches, or a
     /// missing/ambiguous function.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        JobSpec::from_json_skipping(v, &[])
+        JobSpec::parse(v, &[])
     }
 
-    /// [`JobSpec::from_json`] over an object whose `skip` members are
-    /// not job content (a one-job request's request-scoped fields): they
-    /// are passed over in place, so the request needs no trimmed copy.
-    pub(crate) fn from_json_skipping(v: &Json, skip: &[&str]) -> Result<JobSpec, String> {
+    /// [`JobSpec::from_json`] over a one-job request body: its
+    /// [`REQUEST_SCOPED`] members are passed over in place, so the
+    /// request needs no trimmed copy.
+    pub(crate) fn from_request_json(v: &Json) -> Result<JobSpec, String> {
+        JobSpec::parse(v, &REQUEST_SCOPED)
+    }
+
+    fn parse(v: &Json, skip: &[&str]) -> Result<JobSpec, String> {
         let Json::Object(members) = v else {
             return Err("job must be a JSON object".into());
         };
@@ -688,6 +692,11 @@ fn budget_field(v: &Json, name: &str, min: u64, max: u64) -> Result<u64, String>
 const MAX_TIME_MS: u64 = 60_000;
 /// Largest accepted per-request SAT conflict budget.
 const MAX_SAT_CONFLICTS: u64 = 1_000_000_000;
+
+/// Top-level members of a one-job request body that scope the request —
+/// how it runs ([`parse_minimize`], [`parse_limits`]) — rather than the
+/// job itself.
+pub(crate) const REQUEST_SCOPED: [&str; 2] = ["minimize", "limits"];
 
 /// Parses the optional top-level `"limits"` request object into per-job
 /// engine [`Limits`]: `{"time_ms": 1..=60000, "sat_conflicts":

@@ -46,12 +46,12 @@
 //! request bytes as they arrive, and hands a connection to the worker
 //! pool only once a complete request sits in its read buffer. The
 //! worker writes a buffered response straight to the non-blocking
-//! socket; in the common case (all of it went out, keep-alive, no
-//! pipelined successor) it re-arms read interest and posts a completion
-//! without waking the reactor, so a cached request costs one thread hop.
-//! Whatever the socket would not take, and every streamed batch, drains
-//! through the reactor's per-connection write buffer instead, so a slow
-//! reader never holds a worker either. A connection's lifecycle:
+//! socket, so a cached response reaches its client one thread hop after
+//! the request was parsed, then hands the connection back to the reactor
+//! (which alone re-arms reading). Whatever the socket would not take,
+//! and every streamed batch, drains through the reactor's
+//! per-connection write buffer instead, so a slow reader never holds a
+//! worker either. A connection's lifecycle:
 //!
 //! ```text
 //!            accept                    complete request parsed

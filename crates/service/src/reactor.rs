@@ -10,19 +10,18 @@
 //! [`RequestParser`], and hands only **complete requests** to the worker
 //! pool through the bounded [`RequestQueue`].
 //!
-//! A buffered response takes one thread hop. The [`Dispatch`] carries the
-//! connection's socket, and the worker writes the response to it with
-//! non-blocking writes ([`ReactorHandle::respond`]); the reactor's write
-//! buffer is always empty while a request is dispatched, so bytes on one
-//! connection stay ordered. When the whole response went out and nothing
-//! else is pending, the worker re-arms read interest itself and posts a
-//! completion **without** ringing the doorbell: the reactor drains its
-//! inbox after every `wait`, so the completion is applied before that
-//! connection's next readable event. Anything else — a `WouldBlock`
-//! remainder, `Connection: close`, a pipelined successor already in the
-//! parser — goes back as [`ToReactor`] messages and leaves through the
-//! per-connection write buffer, as do streamed batches. A worker never
-//! blocks on a socket, so a slow peer can never stall one.
+//! A buffered response reaches the client in one thread hop. The
+//! [`Dispatch`] carries the connection's socket, and the worker writes
+//! the response to it with non-blocking writes
+//! ([`ReactorHandle::respond`]); the reactor's write buffer is always
+//! empty while a request is dispatched, so bytes on one connection stay
+//! ordered. The worker then posts whatever the socket would not take
+//! (usually nothing) as a [`ToReactor::Respond`] completion, and the
+//! reactor — the only owner of every connection's poller interest —
+//! flushes that remainder, re-arms reading and parses any pipelined
+//! successor. Streamed batches leave through the per-connection write
+//! buffer as [`ToReactor`] chunks. A worker never blocks on a socket, so
+//! a slow peer can never stall one.
 //!
 //! Timers live here too. An idle connection between requests has **no
 //! deadline** (parking is free, so parking is unlimited); the configured
@@ -59,26 +58,21 @@ const CLOSING_GRACE: Duration = Duration::from_millis(250);
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
 /// Messages into the reactor thread; [`ReactorHandle::send`] rings the
-/// poller doorbell after each one so a blocked `wait` picks it up — all
-/// but [`ToReactor::Written`], which needs no wakeup.
+/// poller doorbell after each one so a blocked `wait` picks it up.
 pub(crate) enum ToReactor {
     /// A freshly-accepted connection to adopt.
     Register(TcpStream),
-    /// The rest of a buffered response the worker could not write itself
-    /// (possibly empty: see [`ReactorHandle::respond`]).
+    /// A buffered response is out of the worker's hands: the rest the
+    /// socket would not take (usually empty: see
+    /// [`ReactorHandle::respond`]).
     Respond {
         /// Connection ticket the request came in on.
         conn: u64,
         /// Serialised response bytes the socket has not taken yet.
         rest: Vec<u8>,
-        /// Close after flushing (client asked, or drain in progress).
+        /// The response was serialised with `Connection: close` (client
+        /// asked, or the worker saw a drain in progress).
         close: bool,
-    },
-    /// The worker wrote the whole response and re-armed read interest:
-    /// the connection is back to reading. Posted without the doorbell.
-    Written {
-        /// Connection ticket.
-        conn: u64,
     },
     /// Open a chunked streaming response (`200`, JSON).
     StreamHead {
@@ -125,16 +119,11 @@ impl ReactorHandle {
     }
 
     /// Answers a dispatched request with a buffered response, written
-    /// straight to its socket with non-blocking writes. In the common
-    /// case — all of it went out, the connection stays open, no
-    /// successor is waiting in the parser — the worker re-arms read
-    /// interest and posts [`ToReactor::Written`] without a wakeup. The
-    /// completion is queued *before* the re-arm, so the reactor (which
-    /// drains its inbox after every `wait`) always applies it before the
-    /// connection's next readable event. Otherwise the unwritten rest
-    /// goes to the reactor as [`ToReactor::Respond`]: on `WouldBlock` or
-    /// a broken socket (its flush sees the error and closes), to close
-    /// the connection, or to parse a pipelined successor.
+    /// straight to its socket with non-blocking writes, then hands the
+    /// connection back to the reactor with the unwritten rest as
+    /// [`ToReactor::Respond`]: empty in the common case, a remainder on
+    /// `WouldBlock`, and on a broken socket whatever the reactor's own
+    /// flush then finds broken too.
     pub(crate) fn respond(&self, dispatch: &Dispatch, response: &Response, close: bool) {
         let bytes = response_bytes(response, close);
         let mut written = 0;
@@ -146,18 +135,8 @@ impl ReactorHandle {
                 Err(_) => break,
             }
         }
-        let conn = dispatch.conn;
-        if written == bytes.len() && !close && !dispatch.pipelined {
-            let _ = self.tx.send(ToReactor::Written { conn });
-            // Fails only once the reactor has dropped the connection; the
-            // held `Arc` keeps the descriptor from being reused meanwhile.
-            let _ = self
-                .poller
-                .modify(&*dispatch.stream, Event::readable(conn as usize));
-            return;
-        }
         self.send(ToReactor::Respond {
-            conn,
+            conn: dispatch.conn,
             rest: bytes[written..].to_vec(),
             close,
         });
@@ -171,10 +150,6 @@ pub(crate) struct Dispatch {
     pub(crate) conn: u64,
     /// The connection's socket (non-blocking).
     pub(crate) stream: Arc<TcpStream>,
-    /// The parser already holds bytes of a next request, which the
-    /// reactor must parse once this response is out: it will get no
-    /// readable event for bytes it has already read.
-    pub(crate) pipelined: bool,
     /// The parsed request.
     pub(crate) request: Request,
 }
@@ -249,9 +224,9 @@ enum Phase {
     /// responses on one connection can never interleave).
     Reading,
     /// A request is with the workers, which own the socket's write side
-    /// and read interest until they report back; the reactor neither
-    /// writes nor re-registers it. Bytes that arrive meanwhile stay in
-    /// the socket (pipelining) until read interest is re-armed.
+    /// until they report back; the write buffer stays empty. Bytes that
+    /// arrive meanwhile stay in the socket (pipelining) until read
+    /// interest is re-armed.
     Dispatched,
     /// A chunked streaming response is in flight; `done` once the
     /// terminating chunk is buffered.
@@ -365,7 +340,9 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            self.drain_inbox();
+            while let Ok(msg) = self.rx.try_recv() {
+                self.on_message(msg);
+            }
             if let Some(at) = self.shutdown_at {
                 // Post-shutdown the only work left is flushing buffered
                 // responses; everything else closes immediately.
@@ -373,7 +350,11 @@ impl Reactor {
                 let done: Vec<u64> = self
                     .conns
                     .iter()
-                    .filter(|(_, c)| !c.has_pending_out() || now >= at)
+                    .filter(|(_, c)| {
+                        // A `Closing` connection keeps its own (shorter)
+                        // grace for the read-drain.
+                        (!c.has_pending_out() && c.phase != Phase::Closing) || now >= at
+                    })
                     .map(|(&id, _)| id)
                     .collect();
                 for id in done {
@@ -391,10 +372,6 @@ impl Reactor {
                 return;
             }
             Metrics::bump(&self.metrics.reactor_wakeups);
-            // Apply completions before the events: a worker queues
-            // `Written` before re-arming the read interest that
-            // produced any readable event now in hand.
-            self.drain_inbox();
             for &event in &events {
                 self.on_event(event);
             }
@@ -415,37 +392,26 @@ impl Reactor {
         Some(soonest.saturating_duration_since(Instant::now()))
     }
 
-    fn drain_inbox(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.on_message(msg);
-        }
-    }
-
     fn on_message(&mut self, msg: ToReactor) {
         match msg {
             ToReactor::Register(stream) => self.register(stream),
             ToReactor::Respond { conn, rest, close } => {
-                let close = close || self.draining;
+                // The worker serialised a keep-alive head before a drain
+                // began: end the connection like a refusal, so a client
+                // that already sent its next request reads a clean EOF
+                // after this response rather than a reset.
+                let late_drain = self.draining && !close;
                 let Some(c) = self.conns.get_mut(&conn) else {
                     return;
                 };
                 c.out.extend_from_slice(&rest);
                 c.close_after_flush = close;
                 c.phase = Phase::Reading;
+                if late_drain {
+                    self.begin_closing(conn);
+                }
                 self.note_high_water(conn);
                 self.pump(conn);
-            }
-            ToReactor::Written { conn } => {
-                let Some(c) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                c.phase = Phase::Reading;
-                // The worker already re-armed read interest. Only a drain
-                // that began meanwhile, or bytes a hangup probe fed the
-                // parser, need the full flush-completion transition.
-                if c.close_after_flush || c.parser.buffered() > 0 {
-                    self.after_flush(conn);
-                }
             }
             ToReactor::StreamHead { conn, close } => {
                 let close = close || self.draining;
@@ -554,10 +520,7 @@ impl Reactor {
                 return;
             }
         }
-        // A dispatched connection has nothing buffered, and its interest
-        // belongs to the worker: re-registering it here could undo the
-        // worker's re-arm.
-        if ev.writable && phase != Phase::Dispatched {
+        if ev.writable {
             self.pump(id);
         }
     }
@@ -688,7 +651,6 @@ impl Reactor {
                     Next::Dispatch(Dispatch {
                         conn: id,
                         stream: conn.stream.clone(),
-                        pipelined: conn.parser.buffered() > 0,
                         request,
                     })
                 }
@@ -701,13 +663,6 @@ impl Reactor {
                 true
             }
             Next::Dispatch(dispatch) => {
-                // Drop read interest *before* the worker can see the
-                // request: once it has, the interest is the worker's to
-                // re-arm, and a later reactor update could undo that.
-                self.refresh_interest(id);
-                if !self.conns.contains_key(&id) {
-                    return false;
-                }
                 if !self.queue.push(dispatch) {
                     // Saturated: shed this request, not the whole accept
                     // queue — the client is told how to come back.
@@ -716,6 +671,8 @@ impl Reactor {
                         id,
                         &error_response(503, "server is at capacity").with_retry_after(1),
                     );
+                } else {
+                    self.refresh_interest(id);
                 }
                 self.conns.contains_key(&id)
             }
@@ -741,17 +698,23 @@ impl Reactor {
     /// half-close, then a short read-drain so the refusal survives
     /// RST-on-close client stacks.
     fn refuse(&mut self, id: u64, response: &Response) {
-        {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            conn.out.extend_from_slice(&response_bytes(response, true));
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        conn.out.extend_from_slice(&response_bytes(response, true));
+        self.begin_closing(id);
+        self.note_high_water(id);
+        self.pump(id);
+    }
+
+    /// Switches a connection to `Closing` with the refusal grace as its
+    /// deadline; whatever its write buffer holds still goes out first.
+    fn begin_closing(&mut self, id: u64) {
+        if let Some(conn) = self.conns.get_mut(&id) {
             conn.phase = Phase::Closing;
             conn.close_after_flush = true;
             self.timers.insert(id, Instant::now() + CLOSING_GRACE);
         }
-        self.note_high_water(id);
-        self.pump(id);
     }
 
     /// Drives the write buffer as far as the socket allows and applies
@@ -786,10 +749,9 @@ impl Reactor {
                 }
                 self.refresh_interest(id);
             }
-            // Unreachable: nothing is buffered while dispatched, and the
-            // interest is the worker's.
-            Phase::Dispatched => {}
-            Phase::Streaming { done: false } => self.refresh_interest(id),
+            Phase::Dispatched | Phase::Streaming { done: false } => {
+                self.refresh_interest(id);
+            }
             Phase::Reading | Phase::Streaming { done: true } => {
                 if close_after {
                     self.close(id);
@@ -802,11 +764,11 @@ impl Reactor {
                 };
                 if buffered > 0 {
                     // Pipelined successor already buffered: it gets a
-                    // fresh request deadline and parses immediately
-                    // (`try_dispatch` sets the interest either way).
+                    // fresh request deadline and parses immediately.
                     self.timers.insert(id, Instant::now() + self.read_timeout);
-                    self.try_dispatch(id);
-                    return;
+                    if !self.try_dispatch(id) {
+                        return;
+                    }
                 }
                 self.refresh_interest(id);
             }
@@ -872,5 +834,68 @@ impl Reactor {
                 .reactor_write_high_water
                 .fetch_max(depth, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// One pass of [`Reactor::run`]'s loop body, waiting at most 100 ms.
+    fn turn(reactor: &mut Reactor) {
+        while let Ok(msg) = reactor.rx.try_recv() {
+            reactor.on_message(msg);
+        }
+        let mut events = Vec::new();
+        reactor
+            .poller
+            .wait(&mut events, Some(Duration::from_millis(100)))
+            .unwrap();
+        for event in events {
+            reactor.on_event(event);
+        }
+        reactor.expire_deadlines();
+    }
+
+    #[test]
+    fn a_drain_racing_a_keep_alive_response_ends_in_a_clean_eof() {
+        let metrics = Arc::new(Metrics::default());
+        let queue = Arc::new(RequestQueue::new(4, metrics.clone()));
+        let (mut reactor, handle) =
+            Reactor::new(queue.clone(), metrics, Duration::from_secs(5), 1 << 20).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        reactor.register(listener.accept().unwrap().0);
+        let request = b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+        client.write_all(request).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while reactor.conns.values().any(|c| c.phase != Phase::Dispatched) {
+            assert!(Instant::now() < deadline, "request never dispatched");
+            turn(&mut reactor);
+        }
+        let dispatch = queue.pop().unwrap();
+
+        // The worker serialised a keep-alive response just before the
+        // drain began, writes it, and the client — reading keep-alive —
+        // sends its next request before the reactor sees the completion.
+        reactor.on_message(ToReactor::Drain);
+        let response = Response::json(200, "{}".into());
+        handle.respond(&dispatch, &response, false);
+        drop(dispatch);
+        client.write_all(request).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        turn(&mut reactor);
+
+        // The response arrives whole, then a FIN: the unread successor
+        // must not turn the close into a reset.
+        let mut received = Vec::new();
+        client
+            .read_to_end(&mut received)
+            .expect("clean EOF after the response, not a reset");
+        assert_eq!(received, response_bytes(&response, false));
     }
 }

@@ -29,7 +29,9 @@ use nanoxbar_engine::{
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
-use crate::api::{bad_slot, parse_limits, parse_minimize, result_to_json, JobSpec, MapRequest};
+use crate::api::{
+    bad_slot, parse_limits, parse_minimize, result_to_json, JobSpec, MapRequest, REQUEST_SCOPED,
+};
 use crate::http::{write_response, Request, Response};
 use crate::metrics::Metrics;
 use crate::peer::{Fleet, NetDialer, PeerTuning, TcpDialer};
@@ -604,8 +606,7 @@ impl Service {
         if mapping && (json.get("session").is_some() || json.get("resume").is_some()) {
             return self.map_session(&json, scope);
         }
-        // The routing fields are request-scoped, not job content.
-        let slot = JobSpec::from_json_skipping(&json, &["minimize", "limits"]);
+        let slot = JobSpec::from_request_json(&json);
         if let Ok(spec) = &slot {
             if mapping && spec.chip.is_none() {
                 return error_response(400, "map requests need a \"chip\" to map onto");
@@ -850,7 +851,7 @@ impl Service {
                     &format!("session {id:?} already exists (pass \"resume\": true to continue)"),
                 );
             }
-            let job_json = strip_fields(json, &["minimize", "limits", "session", "resume"]);
+            let job_json = session_job(json);
             let mut spec = match JobSpec::from_json(&job_json) {
                 Ok(spec) => spec,
                 Err(message) => return error_response(400, &message),
@@ -1123,13 +1124,16 @@ impl Scope {
     }
 }
 
-/// A copy of a JSON object without the named request-scoped members.
-fn strip_fields(json: &Json, fields: &[&str]) -> Json {
+/// A session-creating request's durable job: a copy of the request
+/// without its [`REQUEST_SCOPED`] and session-protocol members.
+fn session_job(json: &Json) -> Json {
     match json {
         Json::Object(members) => Json::Object(
             members
                 .iter()
-                .filter(|(k, _)| !fields.contains(&k.as_str()))
+                .filter(|(k, _)| {
+                    !REQUEST_SCOPED.contains(&k.as_str()) && k != "session" && k != "resume"
+                })
                 .cloned()
                 .collect(),
         ),
@@ -1430,7 +1434,7 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers joined ⇒ every Respond/Written/StreamEnd is already in
+        // Workers joined ⇒ every Respond/StreamEnd is already in
         // the reactor inbox ahead of this Shutdown; the reactor flushes
         // what is left of those responses (bounded) and exits.
         self.reactor.send(ToReactor::Shutdown);
